@@ -13,14 +13,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import eval_metrics, scenegen, toy_predictor
 from .collision_geometry import RepellerParams
-from .mode_aggregation import aggregate_to_joint, select_top_modes
+from .mode_aggregation import aggregate_to_joint
 from .po_losses import SimPOConfig
 from .preference_ranking import (
     ExtractionConfig,
@@ -52,7 +50,6 @@ class RunConfig:
     # data
     n_train: int = 2000
     n_val: int = 200
-    val_fraction: float = 0.1
     crossing_weight: float = 0.15
     merge_weight: float = 0.05
     follow_weight: float = 0.35
@@ -90,8 +87,21 @@ class RunConfig:
     def validate(self):
         if self.k < self.top_n:
             raise ConfigError(f"K ({self.k}) must be >= top_n ({self.top_n})")
-        if self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
+        for name in ("n_train", "t_fut", "top_n", "hidden", "pretrain_lr",
+                     "finetune_lr", "pretrain_epochs", "finetune_epochs",
+                     "batch_size"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.t_obs < 2:
+            raise ConfigError("t_obs must be >= 2 (velocities need two steps)")
+        try:   # the parameter dataclasses check their own fields
+            specs = self.mixture()
+            self.repeller()
+            self.simpo()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        if not specs:
+            raise ConfigError("at least one mixture weight must be positive")
 
     def mixture(self) -> list[tuple[ScenarioSpec, float]]:
         kinds = [("crossing", self.crossing_weight), ("merge", self.merge_weight),
@@ -107,25 +117,49 @@ class RunConfig:
         return SimPOConfig(beta=self.beta, gamma=self.gamma)
 
 
+def _checked(key: str, value, current):
+    """value as the type of the field's default; ConfigError if it is not one."""
+    if isinstance(current, str):
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (value % 1 == 0 if isinstance(current, int)
+                   else abs(value) <= sys.float_info.max))
+    if not ok:
+        raise ConfigError(f"{key} needs a finite {type(current).__name__}, "
+                          f"got {value!r}")
+    return type(current)(value)
+
+
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{source} is not valid JSON: {e}") from e
+
+
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        data = json.loads(path.read_text())
+        data = _parse_json(path.read_text(), str(path))
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
-            setattr(cfg, key, value)
+            setattr(cfg, key, _checked(key, value, getattr(cfg, key)))
     for key, value in (args.set or []):
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown config key: {key}")
         current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(json.loads(value))
-                if not isinstance(current, str) else value)
+        if not isinstance(current, str):
+            value = _parse_json(value, f"--set {key}")
+        setattr(cfg, key, _checked(key, value, current))
     cfg.validate()
     return cfg
 
@@ -166,11 +200,6 @@ def _skip(path: Path, force: bool) -> bool:
     return False
 
 
-def _load_scene_file(path: Path):
-    scenes, header = read_scenes(path)
-    return scenes, header
-
-
 def cmd_gen(cfg: RunConfig, force: bool) -> int:
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -180,8 +209,12 @@ def cmd_gen(cfg: RunConfig, force: bool) -> int:
         return EXIT_OK
     started = time.time()
     n_total = cfg.n_train + cfg.n_val
-    scenes, manifest = scenegen.generate_dataset(
-        cfg.mixture(), n_total, cfg.seed, t_obs=cfg.t_obs, t_fut=cfg.t_fut)
+    try:
+        scenes, manifest = scenegen.generate_dataset(
+            cfg.mixture(), n_total, cfg.seed, t_obs=cfg.t_obs, t_fut=cfg.t_fut)
+    except ValueError as e:
+        print(f"scene generation failed: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     for scene in scenes:
         result = validate_scene(scene)
         if not result.ok:
@@ -206,7 +239,7 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
         return EXIT_OK
     started = time.time()
     train_path = _require(workdir / "train.jsonl", "gen")
-    scenes, _ = _load_scene_file(train_path)
+    scenes, _ = read_scenes(train_path)
     params = toy_predictor.init_params(cfg.t_obs, cfg.t_fut, cfg.k, cfg.seed,
                                        hidden=cfg.hidden)
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
@@ -222,12 +255,9 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
     return EXIT_OK
 
 
-def _predict_joints(params, scenes, cfg: RunConfig):
-    joints = {}
-    for scene in scenes:
-        pred = toy_predictor.forward(params, scene)
-        joints[scene.scene_id] = aggregate_to_joint(pred)
-    return joints
+def _predict_joints(params, scenes):
+    return {s.scene_id: aggregate_to_joint(toy_predictor.forward(params, s))
+            for s in scenes}
 
 
 def cmd_extract(cfg: RunConfig, force: bool) -> int:
@@ -238,9 +268,9 @@ def cmd_extract(cfg: RunConfig, force: bool) -> int:
     started = time.time()
     train_path = _require(workdir / "train.jsonl", "gen")
     ckpt = _require(workdir / "pretrained.npz", "pretrain")
-    scenes, _ = _load_scene_file(train_path)
+    scenes, _ = read_scenes(train_path)
     params = toy_predictor.load_checkpoint(ckpt)
-    joints = _predict_joints(params, scenes, cfg)
+    joints = _predict_joints(params, scenes)
     records = [preference_cost(joints[s.scene_id], s.ground_truth_futures,
                                lam=cfg.lam, repeller_params=cfg.repeller())
                for s in scenes]
@@ -272,7 +302,7 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
     train_path = _require(workdir / "train.jsonl", "gen")
     ckpt = _require(workdir / "pretrained.npz", "pretrain")
     subset_path = _require(workdir / "subset.txt", "extract")
-    scenes, _ = _load_scene_file(train_path)
+    scenes, _ = read_scenes(train_path)
     kept = set(subset_path.read_text().split())
     subset = [s for s in scenes if s.scene_id in kept]
     if not subset:
@@ -297,15 +327,9 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
 
 
 def _eval_checkpoint(cfg: RunConfig, scenes, ckpt: Path):
-    params = toy_predictor.load_checkpoint(ckpt)
-    joints = {}
-    for scene in scenes:
-        pred = toy_predictor.forward(params, scene)
-        joint = aggregate_to_joint(pred)
-        joints[scene.scene_id] = select_top_modes(joint, cfg.top_n)
-    report, rows = eval_metrics.evaluate_dataset(
+    joints = _predict_joints(toy_predictor.load_checkpoint(ckpt), scenes)
+    return eval_metrics.evaluate_dataset(
         scenes, joints, top_n=cfg.top_n, threshold=cfg.collision_threshold)
-    return report, rows
 
 
 def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
@@ -314,7 +338,7 @@ def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
     out = workdir / f"report_{tag}.json"
     started = time.time()
     val_path = _require(workdir / "val.jsonl", "gen")
-    scenes, _ = _load_scene_file(val_path)
+    scenes, _ = read_scenes(val_path)
     inputs = [val_path]
     if before and after:
         rb, _ = _eval_checkpoint(cfg, scenes, _require(Path(before), "pretrain"))
@@ -373,7 +397,7 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
             code = step(sub, force)
             if code != EXIT_OK:
                 return code
-        scenes, _ = _load_scene_file(Path(sub.workdir) / "val.jsonl")
+        scenes, _ = read_scenes(Path(sub.workdir) / "val.jsonl")
         rb, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "pretrained.npz")
         ra, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "finetuned.npz")
         rows.append({param: value, "before": rb.to_dict(), "after": ra.to_dict(),

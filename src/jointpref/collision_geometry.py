@@ -3,6 +3,10 @@
 The repeller cost softly accumulates proximity violations below an
 interaction radius r; hard collision detection counts agent pairs that come
 strictly closer than a threshold at any future timestep.
+
+Every function takes modes shaped (..., A, T_fut, 2), e.g. one joint mode or
+a scene's (K, A, T_fut, 2) stack, and reduces per mode: a stack's k-th result
+equals the result for its k-th mode alone.
 """
 
 from __future__ import annotations
@@ -28,91 +32,75 @@ class RepellerParams:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
-class ModeCollision:
-    """Collision count for one joint mode at a fixed threshold."""
-
-    collision_count: int
-    threshold: float
-
-    @property
-    def collided(self) -> bool:
-        return self.collision_count > 0
+def _pairwise(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position differences (..., A, A, T, 2) and their norms (..., A, A, T)."""
+    modes = np.asarray(modes, dtype=np.float64)
+    if modes.ndim < 3 or modes.shape[-1] != 2:
+        raise ValueError(f"modes must be (..., A, T_fut, 2), got {modes.shape}")
+    diff = modes[..., :, None, :, :] - modes[..., None, :, :, :]
+    return diff, np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def pairwise_distances(mode: np.ndarray) -> np.ndarray:
+def pairwise_distances(modes: np.ndarray) -> np.ndarray:
     """Euclidean distance between every agent pair at every timestep.
 
-    mode: (A, T_fut, 2) trajectories. Returns an (A, A, T_fut) tensor,
-    symmetric in the first two axes with a zero diagonal.
+    modes: (..., A, T_fut, 2) trajectories. Returns an (..., A, A, T_fut)
+    tensor, symmetric in the two agent axes with a zero diagonal.
     """
-    mode = np.asarray(mode, dtype=np.float64)
-    if mode.ndim != 3 or mode.shape[-1] != 2:
-        raise ValueError(f"mode must be (A, T_fut, 2), got {mode.shape}")
-    diff = mode[:, None, :, :] - mode[None, :, :, :]  # (A, A, T, 2)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return _pairwise(modes)[1]
 
 
 def repeller_matrix(delta: np.ndarray, params: RepellerParams) -> np.ndarray:
     """Hinge proximity tensor: max(0, 1 - d/r) off-diagonal, 0 on the diagonal."""
     delta = np.asarray(delta, dtype=np.float64)
     a = np.maximum(1.0 - delta / params.r, 0.0)
-    idx = np.arange(delta.shape[0])
-    a[idx, idx, :] = 0.0
+    idx = np.arange(delta.shape[-2])
+    a[..., idx, idx, :] = 0.0
     return a
 
 
-def repeller_cost(repeller: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Sum of proximity violations normalized by their count (plus epsilon)."""
-    total = float(np.sum(repeller))
-    count = int(np.count_nonzero(repeller > 0))
+def repeller_cost(repeller: np.ndarray, epsilon: float = DEFAULT_EPSILON):
+    """Per-mode sum of proximity violations over their count (plus epsilon)."""
+    total = np.sum(repeller, axis=(-3, -2, -1))
+    count = np.count_nonzero(repeller > 0, axis=(-3, -2, -1))
     return total / (count + epsilon)
 
 
-def mode_repeller_cost(mode: np.ndarray, params: RepellerParams) -> float:
-    """Repeller cost of one joint mode straight from its trajectories."""
-    return repeller_cost(repeller_matrix(pairwise_distances(mode), params),
+def mode_repeller_cost(modes: np.ndarray, params: RepellerParams):
+    """Repeller cost of each joint mode straight from its trajectories."""
+    return repeller_cost(repeller_matrix(pairwise_distances(modes), params),
                          params.epsilon)
 
 
-def repeller_cost_grad(mode: np.ndarray, params: RepellerParams) -> np.ndarray:
+def repeller_cost_grad(modes: np.ndarray, params: RepellerParams) -> np.ndarray:
     """Gradient of mode_repeller_cost with respect to agent positions.
 
     The positive-entry count is piecewise constant and treated as fixed;
     the hinge subgradient at d == r is 0, and coincident agents (d == 0)
     contribute no gradient.
     """
-    mode = np.asarray(mode, dtype=np.float64)
-    delta = pairwise_distances(mode)
-    a = repeller_matrix(delta, params)
-    count = int(np.count_nonzero(a > 0))
-    denom = count + params.epsilon
+    diff, delta = _pairwise(modes)
+    active = repeller_matrix(delta, params) > 0
+    denom = np.count_nonzero(active, axis=(-3, -2, -1)) + params.epsilon
     # dR/dA[i,j,t] = 1/denom on active entries; dA/dd = -1/r where A > 0.
-    active = a > 0
-    diff = mode[:, None, :, :] - mode[None, :, :, :]            # (A, A, T, 2)
     safe = np.where(delta > 0, delta, 1.0)
     unit = np.where(delta[..., None] > 0, diff / safe[..., None], 0.0)
-    coeff = np.where(active, -1.0 / (params.r * denom), 0.0)    # (A, A, T)
+    coeff = np.where(active, -1.0 / (params.r * denom[..., None, None, None]),
+                     0.0)                                     # (..., A, A, T)
     # d d_ij/d x_i = unit vector from j to i; both (i,j) and (j,i) slots count.
-    contrib = coeff[..., None] * unit                           # (A, A, T, 2)
-    return contrib.sum(axis=1) - contrib.sum(axis=0)
-
-
-def detect_collisions(mode: np.ndarray,
-                      threshold_m: float = COLLISION_THRESHOLD_M) -> ModeCollision:
-    """Count unordered agent pairs that come strictly closer than threshold_m."""
-    if threshold_m <= 0:
-        raise ValueError("collision threshold must be positive")
-    delta = pairwise_distances(mode)
-    n = delta.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    min_dist = delta[iu, ju, :].min(axis=-1) if len(iu) else np.empty(0)
-    return ModeCollision(collision_count=int(np.sum(min_dist < threshold_m)),
-                         threshold=threshold_m)
+    contrib = coeff[..., None] * unit                         # (..., A, A, T, 2)
+    return contrib.sum(axis=-3) - contrib.sum(axis=-4)
 
 
 def joint_collision_counts(modes: np.ndarray,
-                           threshold_m: float = COLLISION_THRESHOLD_M) -> np.ndarray:
-    """Collision counts for every mode of a (K, A, T_fut, 2) stack."""
-    return np.array([detect_collisions(m, threshold_m).collision_count
-                     for m in modes], dtype=np.int64)
+                           threshold_m: float = COLLISION_THRESHOLD_M):
+    """Per-mode count of unordered agent pairs closer than threshold_m.
+
+    A (K, A, T_fut, 2) stack gives K counts; one mode gives a 0-d count.
+    """
+    if threshold_m <= 0:
+        raise ValueError("collision threshold must be positive")
+    delta = pairwise_distances(modes)
+    iu, ju = np.triu_indices(delta.shape[-2], k=1)
+    min_dist = delta[..., iu, ju, :].min(axis=-1)            # (..., pairs)
+    return np.sum(min_dist < threshold_m, axis=-1)

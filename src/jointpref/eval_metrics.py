@@ -2,8 +2,8 @@
 
 SCR is the fraction of evaluated joint modes containing a collision; pSCR
 weights that indicator by the predicted mode probabilities; MinJointFDE is
-the best per-mode mean endpoint error. Dataset values are unweighted means
-over scenes.
+the best per-mode mean endpoint error, all taken from one batched pass over
+a scene's modes. Dataset values are unweighted means over scenes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class MetricsReport:
     n_scenes: int
     n_modes_evaluated: int
     collision_threshold: float
-    renormalized_top_n: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,18 +69,19 @@ def scene_pscr(scene_probs: np.ndarray, collision_counts: np.ndarray) -> float:
 
 def min_joint_fde(joint: JointModeSet, ground_truth: np.ndarray) -> float:
     """Minimum over modes of the per-mode mean endpoint displacement."""
-    return min(avg_fde(m, ground_truth) for m in joint.modes)
+    return float(avg_fde(joint.modes, ground_truth).min())
 
 
 def scene_metrics(scene: Scene, joint: JointModeSet,
                   threshold: float = COLLISION_THRESHOLD_M) -> SceneMetrics:
     counts = joint_collision_counts(joint.modes, threshold)
+    fdes = avg_fde(joint.modes, scene.ground_truth_futures)
     return SceneMetrics(
         scene_id=scene.scene_id,
         scr=scene_scr(counts),
         pscr=scene_pscr(joint.scene_probs, counts),
-        min_joint_fde=min_joint_fde(joint, scene.ground_truth_futures),
-        avg_fde_best=avg_fde(joint.modes[0], scene.ground_truth_futures),
+        min_joint_fde=float(fdes.min()),
+        avg_fde_best=float(fdes[0]),
     )
 
 
@@ -90,8 +90,8 @@ def evaluate_dataset(scenes, joints_by_scene: dict, top_n: int = 6,
                      ) -> tuple[MetricsReport, list[SceneMetrics]]:
     """Aggregate per-scene metrics over a dataset.
 
-    joints_by_scene maps scene_id to an already top-n-selected JointModeSet;
-    every scene must have a prediction.
+    joints_by_scene maps every scene_id to a JointModeSet; each is cut here
+    to its top_n most probable modes, with renormalized probabilities.
     """
     from .mode_aggregation import select_top_modes
 
@@ -100,7 +100,7 @@ def evaluate_dataset(scenes, joints_by_scene: dict, top_n: int = 6,
         if scene.scene_id not in joints_by_scene:
             raise KeyError(f"no prediction for scene {scene.scene_id}")
         joint = joints_by_scene[scene.scene_id]
-        if joint.num_modes > top_n:
+        if joint.num_modes >= top_n:
             joint = select_top_modes(joint, top_n)
         rows.append(scene_metrics(scene, joint, threshold))
     if not rows:
@@ -113,7 +113,6 @@ def evaluate_dataset(scenes, joints_by_scene: dict, top_n: int = 6,
         n_scenes=len(rows),
         n_modes_evaluated=min(top_n, next(iter(joints_by_scene.values())).num_modes),
         collision_threshold=threshold,
-        renormalized_top_n=True,
     )
     return report, rows
 

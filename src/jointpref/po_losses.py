@@ -70,12 +70,7 @@ def pl_nll(rewards: np.ndarray, ranking: np.ndarray, gamma: float = 0.0) -> floa
     k = rewards.shape[0]
     tau = _check_permutation(ranking, k)
     scores = rewards[tau] + gamma * np.arange(1, k + 1)
-    loss = 0.0
-    for i in range(k):
-        tail = scores[i:]
-        m = tail.max()
-        loss += m + np.log(np.sum(np.exp(tail - m))) - scores[i]
-    return float(loss)
+    return float(np.sum(np.logaddexp.accumulate(scores[::-1])[::-1] - scores))
 
 
 def pl_nll_from_logits(scene_logits: np.ndarray, ranking: np.ndarray,
@@ -93,14 +88,11 @@ def pl_nll_grad(scene_logits: np.ndarray, ranking: np.ndarray,
     tau = _check_permutation(ranking, k)
     rewards = config.beta * log_softmax(z)
     scores = rewards[tau] + config.gamma * np.arange(1, k + 1)
-    # dL/dscores, in ranking order
-    d_scores = np.zeros(k)
-    for i in range(k):
-        tail = scores[i:]
-        m = tail.max()
-        w = np.exp(tail - m)
-        d_scores[i:] += w / w.sum()
-        d_scores[i] -= 1.0
+    # dL/dscores in ranking order: stage i takes 1 off scores[i] and adds
+    # exp(scores[j] - lse[i]) <= 1 to j >= i (clipped so j < i cannot overflow)
+    lse = np.logaddexp.accumulate(scores[::-1])[::-1]   # logsumexp(scores[i:])
+    w = np.triu(np.exp(np.minimum(scores[None, :] - lse[:, None], 0.0)))
+    d_scores = w.sum(axis=0) - 1.0
     d_rewards = np.zeros(k)
     d_rewards[tau] = d_scores
     # rewards = beta * (z - logsumexp(z)); Jacobian is beta * (I - 1 p^T)
@@ -121,16 +113,12 @@ def direct_cost_loss(joint: JointModeSet, ground_truth: np.ndarray,
     modes = joint.modes
     gt = np.asarray(ground_truth, dtype=np.float64)
     k, a = modes.shape[0], modes.shape[1]
-    loss = 0.0
-    grad = np.zeros_like(modes)
-    for m in range(k):
-        end_err = modes[m, :, -1, :] - gt[:, -1, :]          # (A, 2)
-        dist = np.linalg.norm(end_err, axis=-1)
-        loss += float(dist.mean()) + lam * mode_repeller_cost(modes[m], params)
-        safe = np.where(dist > 0, dist, 1.0)
-        grad[m, :, -1, :] += np.where(dist[:, None] > 0,
-                                      end_err / safe[:, None], 0.0) / a
-        grad[m] += lam * repeller_cost_grad(modes[m], params)
-    loss /= k
-    grad /= k
-    return loss, grad
+    end_err = modes[:, :, -1, :] - gt[:, -1, :]              # (K, A, 2)
+    dist = np.linalg.norm(end_err, axis=-1)                  # (K, A)
+    costs = dist.mean(axis=-1) + lam * mode_repeller_cost(modes, params)
+    loss = float(np.cumsum(costs)[-1]) / k   # summed in mode order, not pairwise
+    grad = lam * repeller_cost_grad(modes, params)
+    safe = np.where(dist > 0, dist, 1.0)
+    grad[:, :, -1, :] += np.where(dist[..., None] > 0,
+                                  end_err / safe[..., None], 0.0) / a
+    return loss, grad / k

@@ -1,8 +1,9 @@
 """Per-mode preference costs, mode rankings and preference-subset extraction.
 
 Cost of a joint mode = average final displacement error + lambda * repeller
-cost; lower is better. A scene enters the fine-tuning subset if any mode
-collides or the cost spread across modes exceeds delta.
+cost; lower is better, computed for a scene's whole (K, A, T, 2) mode stack
+at once. A scene enters the fine-tuning subset if any mode collides or the
+cost spread across modes exceeds delta.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ class ExtractionConfig:
             raise ValueError("collision threshold must be positive")
 
 
-def avg_fde(mode: np.ndarray, ground_truth: np.ndarray) -> float:
-    """Mean over agents of the endpoint displacement at the final timestep."""
-    mode = np.asarray(mode, dtype=np.float64)
+def avg_fde(modes: np.ndarray, ground_truth: np.ndarray):
+    """Mean over agents of the final-step displacement, per (..., A, T, 2) mode."""
+    modes = np.asarray(modes, dtype=np.float64)
     gt = np.asarray(ground_truth, dtype=np.float64)
-    if mode.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {mode.shape} vs {gt.shape}")
-    return float(np.mean(np.linalg.norm(mode[:, -1] - gt[:, -1], axis=-1)))
+    if modes.shape[-3:] != gt.shape:
+        raise ValueError(f"shape mismatch: {modes.shape} vs {gt.shape}")
+    return np.linalg.norm(modes[..., -1, :] - gt[:, -1], axis=-1).mean(axis=-1)
 
 
 def preference_cost(joint: JointModeSet, ground_truth: np.ndarray,
@@ -68,8 +69,8 @@ def preference_cost(joint: JointModeSet, ground_truth: np.ndarray,
     Ties break toward the higher-probability mode, then the lower mode index.
     """
     params = repeller_params or RepellerParams()
-    fdes = np.array([avg_fde(m, ground_truth) for m in joint.modes])
-    reps = np.array([mode_repeller_cost(m, params) for m in joint.modes])
+    fdes = avg_fde(joint.modes, ground_truth)
+    reps = mode_repeller_cost(joint.modes, params)
     costs = fdes + lam * reps
     # lexsort keys: last key is primary; -probs prefers likelier modes on ties
     ranking = np.lexsort((np.arange(joint.num_modes),

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collision_geometry import pairwise_distances
 from .scene_model import AgentTrack, Scene
 
 DT = 0.1
@@ -56,13 +57,8 @@ def _rollout(start: np.ndarray, heading: float, speeds: np.ndarray) -> np.ndarra
 
 
 def _min_future_gap(futures: np.ndarray) -> float:
-    a = futures.shape[0]
-    best = math.inf
-    for i in range(a):
-        for j in range(i + 1, a):
-            d = np.linalg.norm(futures[i] - futures[j], axis=-1).min()
-            best = min(best, float(d))
-    return best
+    iu, ju = np.triu_indices(futures.shape[0], k=1)
+    return float(pairwise_distances(futures)[iu, ju].min())
 
 
 def _crossing_like(spec: ScenarioSpec, rng: np.random.Generator,
@@ -166,7 +162,8 @@ def generate_scene(spec: ScenarioSpec, seed: int, scene_id: str | None = None,
     scene = Scene(scene_id=scene_id or f"{spec.kind}-{seed}",
                   agents=tuple(agents), ground_truth_futures=future,
                   t_fut=t_fut)
-    assert _min_future_gap(future) >= 1.0, "generator contract: collision-free GT"
+    if _min_future_gap(future) < 1.0:
+        raise ValueError("ground-truth agents come closer than 1 m")
     return scene
 
 
@@ -186,9 +183,12 @@ def generate_dataset(specs: list[tuple[ScenarioSpec, float]], n_scenes: int,
         spec = specs[pick][0]
         scene_seed = int(np.random.SeedSequence([seed & 0xFFFFFFFF, idx])
                          .generate_state(1)[0])
-        scenes.append(generate_scene(spec, scene_seed,
-                                     scene_id=f"{spec.kind}-{idx:06d}",
-                                     t_obs=t_obs, t_fut=t_fut))
+        try:
+            scenes.append(generate_scene(spec, scene_seed,
+                                         scene_id=f"{spec.kind}-{idx:06d}",
+                                         t_obs=t_obs, t_fut=t_fut))
+        except ValueError as e:
+            raise ValueError(f"{spec.kind} scene {idx}: {e}") from e
         counts[spec.kind] = counts.get(spec.kind, 0) + 1
     manifest = {"seed": seed, "n": n_scenes, "kind_counts": counts,
                 "t_obs": t_obs, "t_fut": t_fut}

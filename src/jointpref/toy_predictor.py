@@ -272,12 +272,10 @@ def direct_scene_loss(params: dict, scene: Scene, lam: float,
     joint, trace = aggregate_to_joint(pred, return_trace=True)
     loss, d_modes = direct_cost_loss(joint, scene.ground_truth_futures,
                                      lam=lam, repeller_params=repeller)
-    a, k = pred.logits.shape
+    # mode k, agent i came from marginal mode agent_order[i, emit_order[k]]
     d_trajs = np.zeros_like(pred.trajectories)
-    rows = np.arange(a)
-    for out_k in range(k):
-        pairing = trace.emit_order[out_k]
-        d_trajs[rows, trace.agent_order[:, pairing]] += d_modes[out_k]
+    rows = np.arange(pred.logits.shape[0])[:, None]
+    d_trajs[rows, trace.agent_order[:, trace.emit_order]] = d_modes.swapaxes(0, 1)
     grads = backward(params, cache, np.zeros_like(pred.logits), d_trajs)
     return loss, grads
 

@@ -7,6 +7,7 @@ from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
     EXIT_OK,
+    EXIT_VALIDATION,
     RunConfig,
     main,
 )
@@ -49,6 +50,39 @@ class TestConfig:
 
     def test_k_less_than_top_n_rejected(self, tmp_path):
         assert run(tmp_path, "gen", sets=[("k", "2")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sets", [
+        [("k", "6.7")],                   # int field: no silent truncation
+        [("k", "abc")],                   # not JSON
+        [("seed", "NaN")],                # not finite
+        [("pretrain_lr", "-1")],          # checked before any stage runs
+        [("finetune_epochs", "0")],
+        [("batch_size", "0")],
+        [("t_obs", "1")],                 # velocities need two steps
+        [("t_fut", "0")],
+        [("top_n", "0")],
+        [("crossing_weight", "0"), ("merge_weight", "0"),
+         ("follow_weight", "0"), ("parallel_weight", "0")],
+        [("num_agents", "7")],            # the parameter dataclasses' checks
+        [("beta", "0")],
+    ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
+        assert run(tmp_path, "gen", sets=sets) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "train.jsonl").exists()
+
+    @pytest.mark.parametrize("data", [{"k": "12"}, {"k": 6.5}, {"lam": "1e3"},
+                                      {"seed": True}, {"workdir": 3}, None])
+    def test_config_file_values_type_checked(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "gen"]) == EXIT_CONFIG
+
+    def test_integral_float_accepted_for_int_field(self, tmp_path):
+        assert run(tmp_path, "gen", sets=[("n_train", "4.0"),
+                                          ("n_val", "1")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "gen_manifest.json").read_text())
+        assert manifest["config"]["n_train"] == 4
 
     def test_config_file_applies(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -139,6 +173,15 @@ class TestPipeline:
         assert run(tmp_path, "finetune", "--objective", "direct-cost") == EXIT_OK
         assert (tmp_path / "finetuned_direct.npz").exists()
         assert not (tmp_path / "finetuned.npz").exists()
+
+    def test_generator_failure_names_scene(self, tmp_path, capsys):
+        # 3-agent crossing scene 2 of seed 0 has no collision-free ground truth
+        sets = [("seed", "0"), ("num_agents", "3"), ("n_train", "8"),
+                ("n_val", "2"), ("crossing_weight", "1"), ("merge_weight", "0"),
+                ("follow_weight", "0"), ("parallel_weight", "0")]
+        assert run(tmp_path, "gen", sets=sets) == EXIT_VALIDATION
+        assert "crossing scene 2" in capsys.readouterr().err
+        assert not (tmp_path / "train.jsonl").exists()
 
     def test_gen_deterministic_across_runs(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

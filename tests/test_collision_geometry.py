@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from jointpref.collision_geometry import (
     RepellerParams,
-    detect_collisions,
     joint_collision_counts,
     mode_repeller_cost,
     pairwise_distances,
@@ -105,8 +104,8 @@ class TestRepellerCost:
         for _ in range(25):
             mode = rng.normal(size=(3, 5, 2)) * 2
             cost = mode_repeller_cost(mode, params)
-            collided = detect_collisions(mode, threshold_m=params.r)
-            assert (cost == 0) == (collided.collision_count == 0)
+            collided = joint_collision_counts(mode, threshold_m=params.r)
+            assert (cost == 0) == (collided == 0)
 
 
 class TestRepellerGrad:
@@ -147,30 +146,30 @@ class TestRepellerGrad:
 class TestDetectCollisions:
     def test_parallel_lanes_clear(self):
         mode = np.stack([straight([0, 0], [5, 0], 30), straight([0, 3], [5, 0], 30)])
-        assert detect_collisions(mode, 1.0).collision_count == 0
+        assert joint_collision_counts(mode, 1.0) == 0
 
     def test_crossing_through_same_point(self):
         mode = np.stack([straight([-1, 0], [1, 0], 21),
                          straight([0, -1], [0, 1], 21)])
-        summary = detect_collisions(mode, 1.0)
-        assert summary.collision_count == 1
-        assert summary.collided
+        summary = joint_collision_counts(mode, 1.0)
+        assert summary == 1
+        assert summary > 0
 
     def test_three_agents_converging(self):
         mode = np.zeros((3, 1, 2))
         mode[1, 0] = [0.3, 0.0]
         mode[2, 0] = [0.0, 0.3]
-        assert detect_collisions(mode, 1.0).collision_count == 3
+        assert joint_collision_counts(mode, 1.0) == 3
 
     def test_threshold_is_strict(self):
         mode = np.stack([straight([0, 0], [1, 0]), straight([0, 1.0], [1, 0])])
-        assert detect_collisions(mode, 1.0).collision_count == 0
+        assert joint_collision_counts(mode, 1.0) == 0
 
     @given(st.integers(2, 5), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_pair_count_bounded(self, a, seed):
         mode = np.random.default_rng(seed).normal(size=(a, 6, 2))
-        c = detect_collisions(mode, 1.0).collision_count
+        c = joint_collision_counts(mode, 1.0)
         assert 0 <= c <= a * (a - 1) // 2
 
     def test_joint_counts_shape(self):
@@ -180,10 +179,49 @@ class TestDetectCollisions:
         assert np.all(counts == 1)  # coincident agents collide
 
 
+class TestStackMatchesEachMode:
+    """Mode k of a (K, A, T, 2) stack gets exactly the result of modes[k]
+    alone: counts and denominators are per mode, never over the stack."""
+
+    @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_batched_function(self, k, a, t, seed, scale):
+        params = RepellerParams(r=1.0)
+        modes = np.random.default_rng(seed).normal(size=(k, a, t, 2)) * scale
+        delta = pairwise_distances(modes)
+        rep = repeller_matrix(delta, params)
+        batched = {
+            "distances": (delta, pairwise_distances),
+            "repeller": (rep, lambda m: repeller_matrix(
+                pairwise_distances(m), params)),
+            "cost_of_matrix": (repeller_cost(rep, params.epsilon),
+                               lambda m: repeller_cost(repeller_matrix(
+                                   pairwise_distances(m), params),
+                                   params.epsilon)),
+            "cost": (mode_repeller_cost(modes, params),
+                     lambda m: mode_repeller_cost(m, params)),
+            "grad": (repeller_cost_grad(modes, params),
+                     lambda m: repeller_cost_grad(m, params)),
+            "collisions": (joint_collision_counts(modes, 1.0),
+                           lambda m: joint_collision_counts(m, 1.0)),
+        }
+        for name, (stack, single) in batched.items():
+            assert stack.shape[0] == k, name
+            for m in range(k):
+                np.testing.assert_array_equal(stack[m], single(modes[m]),
+                                              err_msg=name)
+
+    def test_single_mode_gives_scalars(self):
+        mode = np.zeros((2, 3, 2))
+        assert np.ndim(joint_collision_counts(mode)) == 0
+        assert np.ndim(mode_repeller_cost(mode, RepellerParams())) == 0
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         RepellerParams(r=0.0)
     with pytest.raises(ValueError):
         RepellerParams(epsilon=0.0)
     with pytest.raises(ValueError):
-        detect_collisions(np.zeros((1, 1, 2)), threshold_m=0.0)
+        joint_collision_counts(np.zeros((1, 1, 2)), threshold_m=0.0)

@@ -53,6 +53,18 @@ class TestAvgFde:
         with pytest.raises(ValueError):
             avg_fde(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
 
+    @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_stack_matches_each_mode(self, k, a, t, seed):
+        rng = np.random.default_rng(seed)
+        modes = rng.normal(size=(k, a, t, 2)) * 3
+        gt = rng.normal(size=(a, t, 2)) * 3
+        fdes = avg_fde(modes, gt)
+        assert fdes.shape == (k,)
+        for m in range(k):
+            assert fdes[m] == avg_fde(modes[m], gt)
+
 
 class TestPreferenceCost:
     def test_cost_is_fde_plus_lambda_repeller(self):

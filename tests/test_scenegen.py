@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jointpref import scenegen
 from jointpref.scenegen import (
     DEFAULT_T_FUT,
     DEFAULT_T_OBS,
@@ -131,6 +132,15 @@ class TestGenerateScene:
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=seed)
         assert validate_scene(scene).ok
         assert min_future_gap(scene) >= 1.0
+
+
+def test_colliding_ground_truth_raises(monkeypatch):
+    # a check that raises, not an assert, so it also holds under python -O
+    monkeypatch.setattr(scenegen, "_lane_like",
+                        lambda spec, rng, t_obs, t_fut, parallel:
+                        np.zeros((spec.num_agents, t_obs + t_fut, 2)))
+    with pytest.raises(ValueError, match="closer than 1 m"):
+        generate_scene(ScenarioSpec(kind="follow"), seed=0)
 
 
 class TestGenerateDataset:
