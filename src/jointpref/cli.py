@@ -25,7 +25,12 @@ from .preference_ranking import (
     extract_preference_subset,
     preference_cost,
 )
-from .scene_model import read_scenes, validate_scene, write_scenes
+from .scene_model import (
+    MarginalPrediction,
+    read_scenes,
+    validate_scene,
+    write_scenes,
+)
 from .scenegen import ScenarioSpec
 from .toy_predictor import TrainConfig
 
@@ -41,6 +46,10 @@ class ConfigError(Exception):
 
 class MissingArtifact(Exception):
     pass
+
+
+WEIGHTS = ("crossing_weight", "merge_weight", "follow_weight",
+           "parallel_weight")
 
 
 @dataclass
@@ -94,6 +103,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.t_obs < 2:
             raise ConfigError("t_obs must be >= 2 (velocities need two steps)")
+        for name in WEIGHTS:   # 0 leaves a kind out
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         try:   # the parameter dataclasses check their own fields
             specs = self.mixture()
             self.repeller()
@@ -104,8 +116,8 @@ class RunConfig:
             raise ConfigError("at least one mixture weight must be positive")
 
     def mixture(self) -> list[tuple[ScenarioSpec, float]]:
-        kinds = [("crossing", self.crossing_weight), ("merge", self.merge_weight),
-                 ("follow", self.follow_weight), ("parallel", self.parallel_weight)]
+        kinds = [(name.removesuffix("_weight"), getattr(self, name))
+                 for name in WEIGHTS]
         return [(ScenarioSpec(kind=kind, num_agents=self.num_agents,
                               noise_std=self.noise_std), w)
                 for kind, w in kinds if w > 0]
@@ -193,6 +205,26 @@ def _require(path: Path, step: str) -> Path:
     return path
 
 
+def _match(source: str, found: dict, cfg: RunConfig, fields) -> None:
+    """ConfigError naming the first field where an artifact and cfg differ."""
+    for name in fields:
+        if found.get(name) != getattr(cfg, name):
+            raise ConfigError(f"{name}: {source} has {found.get(name)!r}, "
+                              f"the config has {getattr(cfg, name)!r}")
+
+
+def _read_split(cfg: RunConfig, path: Path):
+    scenes, header = read_scenes(path)
+    _match(path.name, header, cfg, ("t_obs", "t_fut"))
+    return scenes
+
+
+def _load_params(cfg: RunConfig, path: Path) -> dict:
+    params = toy_predictor.load_checkpoint(path)
+    _match(path.name, params["_meta"], cfg, ("t_obs", "t_fut", "k", "hidden"))
+    return params
+
+
 def _skip(path: Path, force: bool) -> bool:
     if path.exists() and not force:
         print(f"{path} exists; skipping (use --force to rebuild)")
@@ -239,7 +271,7 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
         return EXIT_OK
     started = time.time()
     train_path = _require(workdir / "train.jsonl", "gen")
-    scenes, _ = read_scenes(train_path)
+    scenes = _read_split(cfg, train_path)
     params = toy_predictor.init_params(cfg.t_obs, cfg.t_fut, cfg.k, cfg.seed,
                                        hidden=cfg.hidden)
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
@@ -256,8 +288,12 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
 
 
 def _predict_joints(params, scenes):
-    return {s.scene_id: aggregate_to_joint(toy_predictor.forward(params, s))
-            for s in scenes}
+    """Joint modes per scene id, from one forward pass over the split."""
+    meta = params["_meta"]
+    trajs, logits = toy_predictor.forward(
+        params, toy_predictor.scene_block(scenes, meta["t_obs"], meta["t_fut"]))
+    return {s.scene_id: aggregate_to_joint(MarginalPrediction(t, lg))
+            for s, t, lg in zip(scenes, trajs, logits)}
 
 
 def cmd_extract(cfg: RunConfig, force: bool) -> int:
@@ -268,9 +304,8 @@ def cmd_extract(cfg: RunConfig, force: bool) -> int:
     started = time.time()
     train_path = _require(workdir / "train.jsonl", "gen")
     ckpt = _require(workdir / "pretrained.npz", "pretrain")
-    scenes, _ = read_scenes(train_path)
-    params = toy_predictor.load_checkpoint(ckpt)
-    joints = _predict_joints(params, scenes)
+    scenes = _read_split(cfg, train_path)
+    joints = _predict_joints(_load_params(cfg, ckpt), scenes)
     records = [preference_cost(joints[s.scene_id], s.ground_truth_futures,
                                lam=cfg.lam, repeller_params=cfg.repeller())
                for s in scenes]
@@ -302,12 +337,12 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
     train_path = _require(workdir / "train.jsonl", "gen")
     ckpt = _require(workdir / "pretrained.npz", "pretrain")
     subset_path = _require(workdir / "subset.txt", "extract")
-    scenes, _ = read_scenes(train_path)
+    scenes = _read_split(cfg, train_path)
     kept = set(subset_path.read_text().split())
     subset = [s for s in scenes if s.scene_id in kept]
     if not subset:
         raise MissingArtifact("preference subset is empty")
-    params = toy_predictor.load_checkpoint(ckpt)
+    params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
                      simpo=cfg.simpo(), lam=cfg.lam, momentum=cfg.momentum,
@@ -327,20 +362,25 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
 
 
 def _eval_checkpoint(cfg: RunConfig, scenes, ckpt: Path):
-    joints = _predict_joints(toy_predictor.load_checkpoint(ckpt), scenes)
+    joints = _predict_joints(_load_params(cfg, ckpt), scenes)
     return eval_metrics.evaluate_dataset(
         scenes, joints, top_n=cfg.top_n, threshold=cfg.collision_threshold)
 
 
 def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
              after: str | None, checkpoint: str | None, tag: str) -> int:
+    if (before is None) != (after is None):
+        raise ConfigError("eval needs --before and --after together")
+    if checkpoint is not None and before is not None:
+        raise ConfigError("eval takes --checkpoint or --before/--after, "
+                          "not both")
     workdir = Path(cfg.workdir)
     out = workdir / f"report_{tag}.json"
     started = time.time()
     val_path = _require(workdir / "val.jsonl", "gen")
-    scenes, _ = read_scenes(val_path)
+    scenes = _read_split(cfg, val_path)
     inputs = [val_path]
-    if before and after:
+    if before is not None:
         rb, _ = _eval_checkpoint(cfg, scenes, _require(Path(before), "pretrain"))
         ra, _ = _eval_checkpoint(cfg, scenes, _require(Path(after), "finetune"))
         payload = {"before": rb.to_dict(), "after": ra.to_dict(),
@@ -371,14 +411,18 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
         raise ConfigError("empty sweep value list")
     workdir = Path(cfg.workdir)
     started = time.time()
+    subs = []
+    for value in values:   # every value is checked before any stage runs
+        sub = dataclasses.replace(cfg, workdir=str(
+            workdir / f"ablate_{param}_{value:g}"))
+        try:
+            setattr(sub, param, _checked(param, value, getattr(cfg, param)))
+            sub.validate()
+        except ConfigError as e:
+            raise ConfigError(f"ablate {param} {value:g}: {e}") from e
+        subs.append(sub)
     rows = []
-    for value in values:
-        sub = dataclasses.replace(cfg)
-        if param == "k":
-            sub.k = int(value)
-        else:
-            setattr(sub, param, float(value))
-        sub.workdir = str(workdir / f"ablate_{param}_{value:g}")
+    for value, sub in zip(values, subs):
         Path(sub.workdir).mkdir(parents=True, exist_ok=True)
         # share generated data; gamma/lam sweeps also share the parent's
         # pretrained checkpoint (K changes the head count, so K re-pretrains)
@@ -397,7 +441,7 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
             code = step(sub, force)
             if code != EXIT_OK:
                 return code
-        scenes, _ = read_scenes(Path(sub.workdir) / "val.jsonl")
+        scenes = _read_split(sub, Path(sub.workdir) / "val.jsonl")
         rb, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "pretrained.npz")
         ra, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "finetuned.npz")
         rows.append({param: value, "before": rb.to_dict(), "after": ra.to_dict(),

@@ -29,16 +29,18 @@ class AggregationTrace:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    return z - np.log(np.sum(np.exp(z)))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
 def rank_marginal_modes(pred: MarginalPrediction) -> np.ndarray:

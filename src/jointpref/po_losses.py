@@ -2,7 +2,7 @@
 
 Implements the pairwise (Bradley-Terry style) negative log-likelihood with a
 target reward margin, its listwise (Plackett-Luce style) generalization with
-a rank-scaled margin, the log-probability reward, and the direct preference
+a rank-scaled margin on log-probability rewards, and the direct preference
 cost objective used as a degenerate baseline. Everything is computed in the
 log domain with log-sum-exp stabilization.
 """
@@ -31,13 +31,6 @@ class SimPOConfig:
             raise ValueError("beta must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-
-
-def simpo_reward(scene_prob: float, beta: float = DEFAULT_BETA) -> float:
-    """Reward of a mode: beta * log of its predicted probability."""
-    if scene_prob <= 0:
-        raise ValueError("scene probability must be positive")
-    return beta * float(np.log(scene_prob))
 
 
 def _log_sigmoid(x: float) -> float:

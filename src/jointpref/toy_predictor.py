@@ -5,6 +5,8 @@ social context of the other agents' embeddings (tanh projection) -> K
 trajectory heads emitting residual offsets on a constant-velocity anchor,
 plus a logit head scoring the K modes. All gradients are written out by
 hand so the whole pipeline stays dependency-light and bit-deterministic.
+A split is read into arrays once; the predictor and its losses take (B, A,
+...) blocks of them and give the bits of one scene at a time.
 
 Training stages: winner-takes-all pretraining (regression on the closest
 mode + cross-entropy toward its index), listwise preference fine-tuning
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .scenegen import DT
 
 HIDDEN = 64
 VEL_SCALE = 0.1   # keeps velocity features O(1)
+POS_SCALE = 0.1   # keeps centroid-relative positions O(1)
 
 CHECKPOINT_VERSION = 1
 
@@ -89,121 +93,127 @@ def init_params(t_obs: int, t_fut: int, k: int, seed: int,
     }
 
 
-def param_count(params: dict) -> int:
-    return sum(int(np.asarray(params[k]).size) for k in PARAM_KEYS)
-
-
 def zero_grads(params: dict) -> dict:
     return {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
 
 
-POS_SCALE = 0.1   # keeps centroid-relative positions O(1)
+class SceneBlock(NamedTuple):
+    """Scenes as (N, A, ...) arrays: the predictor's inputs and targets."""
+
+    features: np.ndarray   # (N, A, d_in)
+    anchors: np.ndarray    # (N, A, T_fut, 2) constant-velocity rollouts
+    futures: np.ndarray    # (N, A, T_fut, 2) ground truth
 
 
-def _features(scene: Scene) -> np.ndarray:
-    last = np.array([a.past_positions[-1] for a in scene.agents])
-    centroid = last.mean(axis=0)
-    feats = []
-    for agent, rel in zip(scene.agents, last - centroid):
-        disp = np.diff(agent.past_positions, axis=0)
-        vel = agent.past_velocities * VEL_SCALE
-        yaw = agent.past_yaws[-1]
-        feats.append(np.concatenate([disp.ravel(), vel.ravel(),
-                                     [np.sin(yaw), np.cos(yaw)],
-                                     rel * POS_SCALE]))
-    return np.asarray(feats)
+def _features(positions: np.ndarray, velocities: np.ndarray,
+              yaws: np.ndarray) -> np.ndarray:
+    """(N, A, d_in) features from (N, A, T_obs, ...) tracks."""
+    n, a = positions.shape[:2]
+    last = positions[:, :, -1]                             # (N, A, 2)
+    rel = last - last.mean(axis=1, keepdims=True)
+    yaw = yaws[:, :, -1:]
+    return np.concatenate([np.diff(positions, axis=2).reshape(n, a, -1),
+                           (velocities * VEL_SCALE).reshape(n, a, -1),
+                           np.sin(yaw), np.cos(yaw), rel * POS_SCALE], axis=2)
 
 
-def _anchors(scene: Scene, t_fut: int) -> np.ndarray:
-    """Constant-velocity rollout per agent: (A, T_fut, 2)."""
+def _anchors(positions: np.ndarray, velocities: np.ndarray,
+             t_fut: int) -> np.ndarray:
+    """Constant-velocity rollout per agent: (N, A, T_fut, 2)."""
     steps = DT * np.arange(1, t_fut + 1)
-    out = np.zeros((scene.num_agents, t_fut, 2))
-    for i, agent in enumerate(scene.agents):
-        p_last = agent.past_positions[-1]
-        v_last = agent.past_velocities[-1]
-        out[i] = p_last[None, :] + steps[:, None] * v_last[None, :]
-    return out
+    return (positions[:, :, -1, None, :]
+            + steps[:, None] * velocities[:, :, -1, None, :])
 
 
-def forward(params: dict, scene: Scene, cache: bool = False):
-    """Run the predictor on one scene.
+def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
+    """Scenes of one agent count and the model's horizons, as arrays."""
+    for scene in scenes:
+        if (scene.t_obs, scene.t_fut) != (t_obs, t_fut):
+            raise ValueError(f"scene {scene.scene_id} horizons {scene.t_obs}/"
+                             f"{scene.t_fut} != model {t_obs}/{t_fut}")
 
-    Returns a MarginalPrediction, plus the activation cache when requested.
-    """
-    meta = params["_meta"]
-    t_fut, k = meta["t_fut"], meta["k"]
-    if scene.t_obs != meta["t_obs"]:
-        raise ValueError(f"scene t_obs {scene.t_obs} != model {meta['t_obs']}")
-    if scene.t_fut != t_fut:
-        raise ValueError(f"scene t_fut {scene.t_fut} != model {t_fut}")
-    a = scene.num_agents
+    def tracks(name):
+        return np.array([[getattr(agent, name) for agent in scene.agents]
+                         for scene in scenes])
 
-    f = _features(scene)                                   # (A, d_in)
-    h1 = np.tanh(f @ params["W1"] + params["b1"])          # (A, H)
-    e = np.tanh(h1 @ params["W2"] + params["b2"])          # (A, H)
-    if a > 1:
-        m = (e.sum(axis=0, keepdims=True) - e) / (a - 1)   # mean of others
-    else:
-        m = np.zeros_like(e)
-    s = np.tanh(m @ params["Ws"] + params["bs"])           # (A, H)
-    z = np.concatenate([e, s], axis=1)                     # (A, 2H)
+    positions, velocities = tracks("past_positions"), tracks("past_velocities")
+    return SceneBlock(
+        features=_features(positions, velocities, tracks("past_yaws")),
+        anchors=_anchors(positions, velocities, t_fut),
+        futures=np.array([scene.ground_truth_futures for scene in scenes]))
 
-    offsets = np.einsum("ac,kco->ako", z, params["Wtraj"]) + params["btraj"]
-    offsets = offsets.reshape(a, k, t_fut, 2)
-    anchors = _anchors(scene, t_fut)
-    trajs = anchors[:, None] + offsets                     # (A, K, T, 2)
-    logits = z @ params["Wl"] + params["bl"]               # (A, K)
 
-    pred = MarginalPrediction(trajectories=trajs, logits=logits)
+def forward(params: dict, block: SceneBlock, cache: bool = False):
+    """Trajectories (B, A, K, T_fut, 2) and logits (B, A, K) of a block,
+    plus the activation cache when requested."""
+    f = block.features                                     # (B, A, d_in)
+    a = f.shape[1]
+    h1 = np.tanh(f @ params["W1"] + params["b1"])          # (B, A, H)
+    e = np.tanh(h1 @ params["W2"] + params["b2"])          # (B, A, H)
+    # mean of the other agents' embeddings; a lone agent's is 0
+    m = (e.sum(axis=1, keepdims=True) - e) / max(a - 1, 1)
+    s = np.tanh(m @ params["Ws"] + params["bs"])           # (B, A, H)
+    z = np.concatenate([e, s], axis=2)                     # (B, A, 2H)
+
+    offsets = np.einsum("bac,kco->bako", z, params["Wtraj"]) + params["btraj"]
+    trajs = block.anchors[:, :, None] + offsets.reshape(
+        *offsets.shape[:3], -1, 2)                         # (B, A, K, T, 2)
+    logits = z @ params["Wl"] + params["bl"]               # (B, A, K)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("logits must be finite")
     if not cache:
-        return pred
-    return pred, {"f": f, "h1": h1, "e": e, "m": m, "s": s, "z": z, "a": a}
+        return trajs, logits
+    return trajs, logits, (f, h1, e, m, s, z)
 
 
-def backward(params: dict, cache: dict, d_logits: np.ndarray,
+def backward(params: dict, cache: tuple, d_logits: np.ndarray,
              d_trajs: np.ndarray | None) -> dict:
-    """Backpropagate gradients on logits and/or trajectories into parameters."""
-    meta = params["_meta"]
-    t_fut, k = meta["t_fut"], meta["k"]
-    a = cache["a"]
-    z, e, s, m, h1, f = (cache["z"], cache["e"], cache["s"], cache["m"],
-                         cache["h1"], cache["f"])
-    grads = zero_grads(params)
+    """Batch-mean parameter gradients of a block's logit/trajectory gradients.
 
+    Each (B, ...) stack of per-scene gradients is summed in scene order as
+    soon as it is made, so one stack is alive at a time."""
+    hidden = params["_meta"]["hidden"]
+    f, h1, e, m, s, z = cache
+    a = z.shape[1]
+    sums = {"Wl": (z.swapaxes(1, 2) @ d_logits).sum(axis=0),
+            "bl": d_logits.sum(axis=1).sum(axis=0)}
     dz = d_logits @ params["Wl"].T
-    grads["Wl"] = z.T @ d_logits
-    grads["bl"] = d_logits.sum(axis=0)
-
+    d_off = None
     if d_trajs is not None:
-        d_off = d_trajs.reshape(a, k, t_fut * 2)           # (A, K, O)
-        grads["Wtraj"] = np.einsum("ac,ako->kco", z, d_off)
-        grads["btraj"] = d_off.sum(axis=0)
-        dz = dz + np.einsum("ako,kco->ac", d_off, params["Wtraj"])
+        d_off = d_trajs.reshape(*d_trajs.shape[:3], -1)    # (B, A, K, O)
+        sums["btraj"] = d_off.sum(axis=1).sum(axis=0)
+        dz = dz + np.einsum("bako,kco->bac", d_off, params["Wtraj"])
 
-    hidden = meta["hidden"]
-    de = dz[:, :hidden].copy()
-    ds = dz[:, hidden:]
-
-    dpre_s = ds * (1.0 - s * s)
-    grads["Ws"] = m.T @ dpre_s
-    grads["bs"] = dpre_s.sum(axis=0)
+    de = dz[..., :hidden].copy()
+    dpre_s = dz[..., hidden:] * (1.0 - s * s)
+    sums["Ws"] = (m.swapaxes(1, 2) @ dpre_s).sum(axis=0)
+    sums["bs"] = dpre_s.sum(axis=1).sum(axis=0)
     dm = dpre_s @ params["Ws"].T
-    if a > 1:
-        de += (dm.sum(axis=0, keepdims=True) - dm) / (a - 1)
+    de += (dm.sum(axis=1, keepdims=True) - dm) / max(a - 1, 1)
 
     dpre_e = de * (1.0 - e * e)
-    grads["W2"] = h1.T @ dpre_e
-    grads["b2"] = dpre_e.sum(axis=0)
+    sums["W2"] = (h1.swapaxes(1, 2) @ dpre_e).sum(axis=0)
+    sums["b2"] = dpre_e.sum(axis=1).sum(axis=0)
     dh1 = dpre_e @ params["W2"].T
     dpre_h1 = dh1 * (1.0 - h1 * h1)
-    grads["W1"] = f.T @ dpre_h1
-    grads["b1"] = dpre_h1.sum(axis=0)
-    return grads
+    sums["W1"] = (f.swapaxes(1, 2) @ dpre_h1).sum(axis=0)
+    sums["b1"] = dpre_h1.sum(axis=1).sum(axis=0)
+    return _accumulate(params, sums, z, d_off)
 
 
-def _accumulate(total: dict, grads: dict, scale: float = 1.0) -> None:
-    for key in PARAM_KEYS:
-        total[key] += scale * grads[key]
+def _accumulate(params: dict, sums: dict, z: np.ndarray,
+                d_off: np.ndarray | None) -> dict:
+    """Batch mean of a block's gradients: sums holds the in-order scene sums
+    of all but Wtraj, whose per-scene z[b]^T d_off[b] are added a scene at a
+    time (their (B, K, 2H, O) stack would set the step's peak memory)."""
+    mean = {key: np.zeros_like(params[key]) for key in ("Wtraj", "btraj")}
+    mean.update(sums)
+    if d_off is not None:
+        for z_b, d_b in zip(z, d_off):
+            mean["Wtraj"] += np.einsum("ac,ako->kco", z_b, d_b)
+    for grad in mean.values():
+        grad /= len(z)
+    return mean
 
 
 def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
@@ -221,69 +231,60 @@ def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
     return velocity
 
 
-def pretrain_scene_loss(params: dict, scene: Scene):
-    """Winner-takes-all loss and parameter gradients for one scene."""
-    pred, cache = forward(params, scene, cache=True)
-    gt = scene.ground_truth_futures                       # (A, T, 2)
-    a, k = pred.logits.shape
-    t_fut = gt.shape[1]
-
-    err = pred.trajectories - gt[:, None]                 # (A, K, T, 2)
-    sq = np.sum(err * err, axis=(2, 3))                   # (A, K)
-    winners = np.argmin(sq, axis=1)                       # (A,)
-
-    d_trajs = np.zeros_like(pred.trajectories)
-    d_logits = np.zeros_like(pred.logits)
-    loss = 0.0
-    for i in range(a):
-        w = winners[i]
-        reg = sq[i, w] / t_fut
-        logp = log_softmax(pred.logits[i])
-        loss += reg - logp[w]
-        d_trajs[i, w] = 2.0 * err[i, w] / t_fut / a
-        d_logits[i] = softmax(pred.logits[i]) / a
-        d_logits[i, w] -= 1.0 / a
-    loss /= a
-    grads = backward(params, cache, d_logits, d_trajs)
-    return loss, grads
+def pretrain_scene_loss(params: dict, block: SceneBlock):
+    """Winner-takes-all loss per scene; batch-mean gradient."""
+    trajs, logits, cache = forward(params, block, cache=True)
+    b, a, t_fut, _ = block.futures.shape
+    err = trajs - block.futures[:, :, None]               # (B, A, K, T, 2)
+    sq = np.sum(err * err, axis=(3, 4))                   # (B, A, K)
+    rows, agents = np.indices((b, a))
+    w = np.argmin(sq, axis=2)                             # (B, A) winners
+    reg = sq[rows, agents, w] / t_fut
+    logp = log_softmax(logits)[rows, agents, w]
+    # agents summed in order, as a running total would
+    losses = np.cumsum(reg - logp, axis=1)[:, -1] / a
+    d_trajs = np.zeros_like(trajs)
+    d_trajs[rows, agents, w] = 2.0 * err[rows, agents, w] / t_fut / a
+    d_logits = softmax(logits) / a
+    d_logits[rows, agents, w] -= 1.0 / a
+    return losses, backward(params, cache, d_logits, d_trajs)
 
 
-def simpo_scene_loss(params: dict, scene: Scene, config: TrainConfig,
+def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
                      repeller: RepellerParams):
-    """Listwise preference loss, gradients and the top/bottom reward gap."""
-    pred, cache = forward(params, scene, cache=True)
-    joint, trace = aggregate_to_joint(pred, return_trace=True)
-    rec = preference_cost(joint, scene.ground_truth_futures,
-                          lam=config.lam, repeller_params=repeller)
-    tau = rec.ranking
-    loss = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
-    d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
-    d_agent_logits = scene_logit_grad_to_agent_logits(d_scene, trace)
-    grads = backward(params, cache, d_agent_logits, None)
-    rewards = config.simpo.beta * log_softmax(joint.scene_logits)
-    gap = float(rewards[tau[0]] - rewards[tau[-1]])
-    return loss, grads, gap
+    """Listwise loss and top/bottom reward gap per scene; batch-mean grads."""
+    trajs, logits, cache = forward(params, block, cache=True)
+    losses, gaps = np.empty(len(logits)), np.empty(len(logits))
+    d_logits = np.empty_like(logits)
+    for i, (t, lg, gt) in enumerate(zip(trajs, logits, block.futures)):
+        joint, trace = aggregate_to_joint(MarginalPrediction(t, lg),
+                                          return_trace=True)
+        tau = preference_cost(joint, gt, lam=config.lam,
+                              repeller_params=repeller).ranking
+        losses[i] = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
+        d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
+        d_logits[i] = scene_logit_grad_to_agent_logits(d_scene, trace)
+        rewards = config.simpo.beta * log_softmax(joint.scene_logits)
+        gaps[i] = rewards[tau[0]] - rewards[tau[-1]]
+    return losses, backward(params, cache, d_logits, None), gaps
 
 
-def direct_scene_loss(params: dict, scene: Scene, lam: float,
+def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
                       repeller: RepellerParams):
-    """Direct preference-cost objective; gradients flow into the offsets."""
-    pred, cache = forward(params, scene, cache=True)
-    joint, trace = aggregate_to_joint(pred, return_trace=True)
-    loss, d_modes = direct_cost_loss(joint, scene.ground_truth_futures,
-                                     lam=lam, repeller_params=repeller)
-    # mode k, agent i came from marginal mode agent_order[i, emit_order[k]]
-    d_trajs = np.zeros_like(pred.trajectories)
-    rows = np.arange(pred.logits.shape[0])[:, None]
-    d_trajs[rows, trace.agent_order[:, trace.emit_order]] = d_modes.swapaxes(0, 1)
-    grads = backward(params, cache, np.zeros_like(pred.logits), d_trajs)
-    return loss, grads
-
-
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+    """Direct preference-cost loss per scene; batch-mean grads via offsets."""
+    trajs, logits, cache = forward(params, block, cache=True)
+    losses = np.empty(len(logits))
+    d_trajs = np.zeros_like(trajs)
+    agents = np.arange(logits.shape[1])[:, None]
+    for i, (t, lg, gt) in enumerate(zip(trajs, logits, block.futures)):
+        joint, trace = aggregate_to_joint(MarginalPrediction(t, lg),
+                                          return_trace=True)
+        losses[i], d_modes = direct_cost_loss(joint, gt, lam=lam,
+                                              repeller_params=repeller)
+        # mode k, agent j came from marginal mode agent_order[j, emit_order[k]]
+        d_trajs[i, agents, trace.agent_order[:, trace.emit_order]] = \
+            d_modes.swapaxes(0, 1)
+    return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
 
 
 def train(params: dict, scenes: list[Scene], config: TrainConfig,
@@ -291,34 +292,31 @@ def train(params: dict, scenes: list[Scene], config: TrainConfig,
           log_fn=None) -> dict:
     """Run one training stage in place; returns a per-epoch history dict."""
     repeller = repeller or RepellerParams()
+    meta = params["_meta"]
+    block = scene_block(scenes, meta["t_obs"], meta["t_fut"])
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed & 0xFFFFFFFF, 23]))
     history = {"epoch_loss": [], "epoch_reward_gap": []}
     velocity = None
     for epoch in range(config.epochs):
         losses, gaps = [], []
-        for batch_idx in _batches(len(scenes), config.batch_size, rng):
-            total = zero_grads(params)
-            batch_loss = 0.0
-            for si in batch_idx:
-                scene = scenes[int(si)]
-                if config.objective == "pretrain":
-                    loss, grads = pretrain_scene_loss(params, scene)
-                elif config.objective == "simpo":
-                    loss, grads, gap = simpo_scene_loss(params, scene, config,
-                                                        repeller)
-                    gaps.append(gap)
-                else:
-                    loss, grads = direct_scene_loss(params, scene, config.lam,
-                                                    repeller)
-                batch_loss += loss
-                _accumulate(total, grads)
-            n = len(batch_idx)
-            for key in PARAM_KEYS:
-                total[key] /= n
-            velocity = sgd_step(params, total, config.learning_rate,
+        order = rng.permutation(len(scenes))
+        for start in range(0, len(scenes), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            batch = SceneBlock(*(arrays[rows] for arrays in block))
+            if config.objective == "pretrain":
+                scene_losses, grads = pretrain_scene_loss(params, batch)
+            elif config.objective == "simpo":
+                scene_losses, grads, scene_gaps = simpo_scene_loss(
+                    params, batch, config, repeller)
+                gaps.extend(scene_gaps)
+            else:
+                scene_losses, grads = direct_scene_loss(params, batch,
+                                                        config.lam, repeller)
+            velocity = sgd_step(params, grads, config.learning_rate,
                                 config.momentum, velocity)
-            losses.append(batch_loss / n)
+            # scenes summed in order: np.sum adds 8 or more pairwise
+            losses.append(np.cumsum(scene_losses)[-1] / len(rows))
         history["epoch_loss"].append(float(np.mean(losses)))
         if gaps:
             history["epoch_reward_gap"].append(float(np.mean(gaps)))

@@ -31,7 +31,7 @@ from jointpref.po_losses import (
 )
 from jointpref.scene_model import JointModeSet, MarginalPrediction, read_scenes
 from jointpref.scenegen import DT
-from jointpref.toy_predictor import forward, load_checkpoint
+from jointpref.toy_predictor import forward, load_checkpoint, scene_block
 
 SEED = 7
 PIPELINE_SETS = [
@@ -177,12 +177,15 @@ def realism_report(workdir: Path, k: int = 6, top_n: int = 6) -> dict:
     """Collapse fraction and speed statistics of the direct-cost model."""
     scenes, _ = read_scenes(workdir / "val.jsonl")
     params = load_checkpoint(workdir / "finetuned_direct.npz")
+    meta = params["_meta"]
+    trajs, logits = forward(
+        params, scene_block(scenes, meta["t_obs"], meta["t_fut"]))
     collapsed = 0
     pred_speeds = []
     gt_speeds = []
-    for scene in scenes:
-        joint = select_top_modes(aggregate_to_joint(forward(params, scene)),
-                                 top_n)
+    for scene, t, lg in zip(scenes, trajs, logits):
+        pred = MarginalPrediction(trajectories=t, logits=lg)
+        joint = select_top_modes(aggregate_to_joint(pred), top_n)
         min_d = np.inf
         for mode in joint.modes:
             d = pairwise_distances(mode)

@@ -1,0 +1,271 @@
+"""The batched predictor path against the per-scene code it replaced.
+
+The reference functions below are the predictor's former one-scene-at-a-time
+forward, backward and training losses. A block of B scenes must give each
+scene's loss and reward gap, and the batch-mean gradient summed in scene
+order, bit for bit, at the default BLAS thread count and at one thread.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import jointpref
+from jointpref.collision_geometry import RepellerParams
+from jointpref.mode_aggregation import (
+    aggregate_to_joint,
+    log_softmax,
+    scene_logit_grad_to_agent_logits,
+    softmax,
+)
+from jointpref.po_losses import (
+    SimPOConfig,
+    direct_cost_loss,
+    pl_nll_from_logits,
+    pl_nll_grad,
+)
+from jointpref.preference_ranking import preference_cost
+from jointpref.scene_model import MarginalPrediction
+from jointpref.scenegen import DT, ScenarioSpec, generate_scene
+from jointpref.toy_predictor import (
+    PARAM_KEYS,
+    POS_SCALE,
+    VEL_SCALE,
+    TrainConfig,
+    direct_scene_loss,
+    forward,
+    init_params,
+    pretrain_scene_loss,
+    scene_block,
+    simpo_scene_loss,
+    zero_grads,
+)
+
+T_OBS, T_FUT = 10, 30
+KINDS = ("crossing", "merge", "follow", "parallel")
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-scene predictor
+# ---------------------------------------------------------------------------
+
+def features_ref(scene):
+    last = np.array([a.past_positions[-1] for a in scene.agents])
+    centroid = last.mean(axis=0)
+    feats = []
+    for agent, rel in zip(scene.agents, last - centroid):
+        disp = np.diff(agent.past_positions, axis=0)
+        vel = agent.past_velocities * VEL_SCALE
+        yaw = agent.past_yaws[-1]
+        feats.append(np.concatenate([disp.ravel(), vel.ravel(),
+                                     [np.sin(yaw), np.cos(yaw)],
+                                     rel * POS_SCALE]))
+    return np.asarray(feats)
+
+
+def anchors_ref(scene, t_fut):
+    steps = DT * np.arange(1, t_fut + 1)
+    out = np.zeros((scene.num_agents, t_fut, 2))
+    for i, agent in enumerate(scene.agents):
+        p_last = agent.past_positions[-1]
+        v_last = agent.past_velocities[-1]
+        out[i] = p_last[None, :] + steps[:, None] * v_last[None, :]
+    return out
+
+
+def forward_ref(params, scene):
+    meta = params["_meta"]
+    t_fut, k = meta["t_fut"], meta["k"]
+    a = scene.num_agents
+    f = features_ref(scene)
+    h1 = np.tanh(f @ params["W1"] + params["b1"])
+    e = np.tanh(h1 @ params["W2"] + params["b2"])
+    if a > 1:
+        m = (e.sum(axis=0, keepdims=True) - e) / (a - 1)
+    else:
+        m = np.zeros_like(e)
+    s = np.tanh(m @ params["Ws"] + params["bs"])
+    z = np.concatenate([e, s], axis=1)
+    offsets = np.einsum("ac,kco->ako", z, params["Wtraj"]) + params["btraj"]
+    offsets = offsets.reshape(a, k, t_fut, 2)
+    trajs = anchors_ref(scene, t_fut)[:, None] + offsets
+    logits = z @ params["Wl"] + params["bl"]
+    pred = MarginalPrediction(trajectories=trajs, logits=logits)
+    return pred, {"f": f, "h1": h1, "e": e, "m": m, "s": s, "z": z, "a": a}
+
+
+def backward_ref(params, cache, d_logits, d_trajs):
+    meta = params["_meta"]
+    t_fut, k = meta["t_fut"], meta["k"]
+    a = cache["a"]
+    z, e, s, m, h1, f = (cache["z"], cache["e"], cache["s"], cache["m"],
+                         cache["h1"], cache["f"])
+    grads = zero_grads(params)
+    dz = d_logits @ params["Wl"].T
+    grads["Wl"] = z.T @ d_logits
+    grads["bl"] = d_logits.sum(axis=0)
+    if d_trajs is not None:
+        d_off = d_trajs.reshape(a, k, t_fut * 2)
+        grads["Wtraj"] = np.einsum("ac,ako->kco", z, d_off)
+        grads["btraj"] = d_off.sum(axis=0)
+        dz = dz + np.einsum("ako,kco->ac", d_off, params["Wtraj"])
+    hidden = meta["hidden"]
+    de = dz[:, :hidden].copy()
+    ds = dz[:, hidden:]
+    dpre_s = ds * (1.0 - s * s)
+    grads["Ws"] = m.T @ dpre_s
+    grads["bs"] = dpre_s.sum(axis=0)
+    dm = dpre_s @ params["Ws"].T
+    if a > 1:
+        de += (dm.sum(axis=0, keepdims=True) - dm) / (a - 1)
+    dpre_e = de * (1.0 - e * e)
+    grads["W2"] = h1.T @ dpre_e
+    grads["b2"] = dpre_e.sum(axis=0)
+    dh1 = dpre_e @ params["W2"].T
+    dpre_h1 = dh1 * (1.0 - h1 * h1)
+    grads["W1"] = f.T @ dpre_h1
+    grads["b1"] = dpre_h1.sum(axis=0)
+    return grads
+
+
+def pretrain_ref(params, scene):
+    pred, cache = forward_ref(params, scene)
+    gt = scene.ground_truth_futures
+    a, k = pred.logits.shape
+    t_fut = gt.shape[1]
+    err = pred.trajectories - gt[:, None]
+    sq = np.sum(err * err, axis=(2, 3))
+    winners = np.argmin(sq, axis=1)
+    d_trajs = np.zeros_like(pred.trajectories)
+    d_logits = np.zeros_like(pred.logits)
+    loss = 0.0
+    for i in range(a):
+        w = winners[i]
+        reg = sq[i, w] / t_fut
+        logp = log_softmax(pred.logits[i])
+        loss += reg - logp[w]
+        d_trajs[i, w] = 2.0 * err[i, w] / t_fut / a
+        d_logits[i] = softmax(pred.logits[i]) / a
+        d_logits[i, w] -= 1.0 / a
+    loss /= a
+    return loss, backward_ref(params, cache, d_logits, d_trajs), None
+
+
+def simpo_ref(params, scene, config, repeller):
+    pred, cache = forward_ref(params, scene)
+    joint, trace = aggregate_to_joint(pred, return_trace=True)
+    tau = preference_cost(joint, scene.ground_truth_futures, lam=config.lam,
+                          repeller_params=repeller).ranking
+    loss = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
+    d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
+    d_agent_logits = scene_logit_grad_to_agent_logits(d_scene, trace)
+    grads = backward_ref(params, cache, d_agent_logits, None)
+    rewards = config.simpo.beta * log_softmax(joint.scene_logits)
+    return loss, grads, float(rewards[tau[0]] - rewards[tau[-1]])
+
+
+def direct_ref(params, scene, lam, repeller):
+    pred, cache = forward_ref(params, scene)
+    joint, trace = aggregate_to_joint(pred, return_trace=True)
+    loss, d_modes = direct_cost_loss(joint, scene.ground_truth_futures,
+                                     lam=lam, repeller_params=repeller)
+    d_trajs = np.zeros_like(pred.trajectories)
+    rows = np.arange(pred.logits.shape[0])[:, None]
+    d_trajs[rows, trace.agent_order[:, trace.emit_order]] = \
+        d_modes.swapaxes(0, 1)
+    grads = backward_ref(params, cache, np.zeros_like(pred.logits), d_trajs)
+    return loss, grads, None
+
+
+def batch_ref(params, scenes, scene_fn):
+    """Per-scene losses and gaps, and the gradients summed in scene order."""
+    total = zero_grads(params)
+    losses, gaps = [], []
+    for scene in scenes:
+        loss, grads, gap = scene_fn(params, scene)
+        losses.append(loss)
+        gaps.append(gap)
+        for key in PARAM_KEYS:
+            total[key] += grads[key]
+    for key in PARAM_KEYS:
+        total[key] /= len(scenes)
+    return losses, total, gaps
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+# ---------------------------------------------------------------------------
+
+CONFIG = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0, gamma=5.0))
+REPELLER = RepellerParams()
+OBJECTIVES = {
+    "pretrain": (pretrain_ref, lambda p, b: (*pretrain_scene_loss(p, b), None)),
+    "simpo": (lambda p, s: simpo_ref(p, s, CONFIG, REPELLER),
+              lambda p, b: simpo_scene_loss(p, b, CONFIG, REPELLER)),
+    "direct": (lambda p, s: direct_ref(p, s, 10.0, REPELLER),
+               lambda p, b: (*direct_scene_loss(p, b, 10.0, REPELLER), None)),
+}
+
+
+def make_scenes(n, seed=0):
+    return [generate_scene(ScenarioSpec(kind=KINDS[i % 4]), seed=seed + i,
+                           t_obs=T_OBS, t_fut=T_FUT) for i in range(n)]
+
+
+def make_params(k, seed=0):
+    """Seeded weights with non-zero biases, so every gradient term moves."""
+    params = init_params(T_OBS, T_FUT, k, seed=seed)
+    rng = np.random.default_rng(seed)
+    for key in PARAM_KEYS:
+        params[key] = params[key] + 0.05 * rng.standard_normal(params[key].shape)
+    return params
+
+
+def mismatches(objective, b, k):
+    """Names of the results where block and reference differ in any bit."""
+    params = make_params(k)
+    scenes = make_scenes(b, seed=10 * b + k)
+    ref_fn, batched_fn = OBJECTIVES[objective]
+    ref_losses, ref_grads, ref_gaps = batch_ref(params, scenes, ref_fn)
+    losses, grads, gaps = batched_fn(params, scene_block(scenes, T_OBS, T_FUT))
+    bad = [key for key in PARAM_KEYS
+           if grads[key].tobytes() != ref_grads[key].tobytes()]
+    if np.asarray(losses).tobytes() != np.asarray(ref_losses).tobytes():
+        bad.append("losses")
+    if gaps is not None and gaps.tobytes() != np.asarray(ref_gaps).tobytes():
+        bad.append("gaps")
+    return bad
+
+
+CASES = [(objective, b, k) for objective in OBJECTIVES
+         for b in (1, 3, 16) for k in (6, 12)]
+
+
+@pytest.mark.parametrize("objective,b,k", CASES)
+def test_block_matches_per_scene_reference(objective, b, k):
+    assert mismatches(objective, b, k) == []
+
+
+def test_block_matches_reference_on_one_blas_thread():
+    script = ("import test_batched_predictor as t; "
+              "print([c for c in t.CASES if t.mismatches(*c)])")
+    paths = [Path(jointpref.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(map(str, paths)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stderr
+
+
+def test_forward_matches_reference_over_a_split():
+    params = make_params(6)
+    scenes = make_scenes(200, seed=3)
+    trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
+    for scene, t, l in zip(scenes, trajs, logits):
+        pred, _ = forward_ref(params, scene)
+        assert t.tobytes() == pred.trajectories.tobytes()
+        assert l.tobytes() == pred.logits.tobytes()

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ class TestConfig:
         [("crossing_weight", "0"), ("merge_weight", "0"),
          ("follow_weight", "0"), ("parallel_weight", "0")],
         [("num_agents", "7")],            # the parameter dataclasses' checks
+        [("crossing_weight", "-1")],      # 0 leaves a kind out; below is wrong
         [("beta", "0")],
     ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
     def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
@@ -223,3 +225,74 @@ class TestAblate:
         assert (sub / "pretrained.npz").exists()
         assert (sub / "subset.txt").read_text() == \
             (tmp_path / "subset.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """A FAST run through pretrain, copied by each test that uses it."""
+    workdir = tmp_path_factory.mktemp("pretrained")
+    assert run(workdir, "gen") == EXIT_OK
+    assert run(workdir, "pretrain") == EXIT_OK
+    return workdir
+
+
+def copy_run(src, tmp_path):
+    dst = tmp_path / "run"
+    shutil.copytree(src, dst)
+    return dst
+
+
+class TestMisuse:
+    @pytest.mark.parametrize("values,named", [
+        (["5", "3.5"], "3.5"),     # k is an int: no silent truncation to 3
+        (["5", "2"], "2"),         # below top_n 3
+    ])
+    def test_bad_k_sweep_value(self, tmp_path, capsys, values, named):
+        assert run(tmp_path, "ablate", "k", *values) == EXIT_CONFIG
+        assert f"ablate k {named}" in capsys.readouterr().err
+        # checked before the first value's stages ran
+        assert not list(tmp_path.glob("ablate_*"))
+
+    def test_bad_gamma_sweep_value(self, tmp_path, capsys):
+        assert run(tmp_path, "ablate", "gamma", "5", "-1") == EXIT_CONFIG
+        assert "ablate gamma -1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("ablate_*"))
+
+    @pytest.mark.parametrize("flags", [
+        ("--after", "pretrained.npz"),
+        ("--before", "pretrained.npz"),
+        ("--checkpoint", "pretrained.npz", "--before", "pretrained.npz"),
+        ("--checkpoint", "pretrained.npz", "--after", "pretrained.npz"),
+    ], ids=lambda flags: "-".join(f for f in flags if f.startswith("--")))
+    def test_eval_flags_that_would_be_ignored(self, pretrained, tmp_path,
+                                              capsys, flags):
+        workdir = copy_run(pretrained, tmp_path)
+        argv = [str(workdir / f) if f.endswith(".npz") else f for f in flags]
+        assert run(workdir, "eval", *argv, "--tag", "x") == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (workdir / "report_x.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("k", "4"), ("hidden", "16")])
+    def test_checkpoint_shape_differs_from_config(self, pretrained, tmp_path,
+                                                  capsys, key, value):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "eval", "--tag", "x",
+                   sets=[(key, value)]) == EXIT_CONFIG
+        assert f"{key}: pretrained.npz has" in capsys.readouterr().err
+        assert not (workdir / "report_x.json").exists()
+
+    def test_extract_with_other_k_than_checkpoint(self, pretrained, tmp_path,
+                                                  capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract", sets=[("k", "4")]) == EXIT_CONFIG
+        assert "k: pretrained.npz has 3" in capsys.readouterr().err
+        assert not (workdir / "subset.txt").exists()
+        assert not (workdir / "extract_manifest.json").exists()
+
+    def test_scene_file_horizon_differs_from_config(self, pretrained, tmp_path,
+                                                    capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        (workdir / "pretrained.npz").unlink()
+        assert run(workdir, "pretrain", sets=[("t_obs", "8")]) == EXIT_CONFIG
+        assert "t_obs: train.jsonl has 10" in capsys.readouterr().err
+        assert not (workdir / "pretrained.npz").exists()

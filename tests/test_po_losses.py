@@ -13,7 +13,6 @@ from jointpref.po_losses import (
     pl_nll,
     pl_nll_from_logits,
     pl_nll_grad,
-    simpo_reward,
 )
 from jointpref.scene_model import JointModeSet
 
@@ -191,29 +190,6 @@ class TestPlNllGrad:
         a = pl_nll_from_logits(z, tau, cfg)
         b = pl_nll_from_logits(z + 17.5, tau, cfg)
         assert a == pytest.approx(b, abs=1e-10)
-
-
-class TestSimpoReward:
-    def test_prob_one_gives_zero(self):
-        assert simpo_reward(1.0, beta=7.3) == 0.0
-
-    def test_inverse_e(self):
-        assert simpo_reward(1 / math.e, beta=2.0) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_scalar_oracle(self):
-        assert simpo_reward(0.7310586, 2.0) == pytest.approx(-0.626523, abs=1e-5)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            simpo_reward(0.0, 2.0)
-        with pytest.raises(ValueError):
-            simpo_reward(-0.1, 2.0)
-
-    def test_consistency_with_log_softmax(self):
-        z = np.array([1.0, 0.0])
-        probs = softmax(z)
-        assert simpo_reward(probs[0], 2.0) == pytest.approx(
-            2.0 * log_softmax(z)[0], abs=1e-12)
 
 
 class TestDirectCostLoss:

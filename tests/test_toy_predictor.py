@@ -1,11 +1,10 @@
-import copy
-
 import numpy as np
 import pytest
 
 from jointpref.collision_geometry import RepellerParams
 from jointpref.po_losses import SimPOConfig
-from jointpref.scenegen import ScenarioSpec, generate_scene
+from jointpref.scene_model import AgentTrack, MarginalPrediction, Scene
+from jointpref.scenegen import DT, ScenarioSpec, generate_scene
 from jointpref.toy_predictor import (
     PARAM_KEYS,
     TrainConfig,
@@ -15,9 +14,9 @@ from jointpref.toy_predictor import (
     forward,
     init_params,
     load_checkpoint,
-    param_count,
     pretrain_scene_loss,
     save_checkpoint,
+    scene_block,
     sgd_step,
     simpo_scene_loss,
     train,
@@ -38,6 +37,40 @@ def scenes():
 @pytest.fixture()
 def params():
     return init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
+
+
+def block(*scenes):
+    return scene_block(list(scenes), T_OBS, T_FUT)
+
+
+def predict(params, scene):
+    trajs, logits = forward(params, block(scene))
+    return MarginalPrediction(trajectories=trajs[0], logits=logits[0])
+
+
+def hand_scene(num_agents, seed):
+    """Agents on noisy straight lines: any agent count, no generator retries."""
+    rng = np.random.default_rng(seed)
+    t = DT * np.arange(T_OBS + T_FUT)
+    agents, futures = [], []
+    for i in range(num_agents):
+        heading = rng.uniform(-np.pi, np.pi)
+        vel = rng.uniform(3.0, 8.0) * np.array([np.cos(heading), np.sin(heading)])
+        track = (rng.uniform(-15.0, 15.0, 2) + t[:, None] * vel
+                 + 0.05 * rng.standard_normal((t.size, 2)))
+        agents.append(AgentTrack(
+            agent_id=i, past_positions=track[:T_OBS],
+            past_velocities=vel + 0.05 * rng.standard_normal((T_OBS, 2)),
+            past_yaws=np.full(T_OBS, heading)))
+        futures.append(track[T_OBS:])
+    return Scene(scene_id=f"hand-{num_agents}-{seed}", agents=tuple(agents),
+                 ground_truth_futures=np.array(futures), t_fut=T_FUT)
+
+
+def batch_mean(scene_loss):
+    """A block's mean loss next to its batch-mean gradient."""
+    losses, grads = scene_loss[0], scene_loss[1]
+    return float(np.mean(losses)), grads
 
 
 def clone(params):
@@ -87,24 +120,20 @@ class TestInitAndForward:
         d_in = feature_dim(T_OBS)
         assert np.all(np.abs(p["W1"]) <= 1 / np.sqrt(d_in))
 
-    def test_param_count(self, params):
-        expected = sum(params[k].size for k in PARAM_KEYS)
-        assert param_count(params) == expected
-
     def test_forward_shapes(self, params, scenes):
-        pred = forward(params, scenes[0])
-        assert pred.trajectories.shape == (2, K, T_FUT, 2)
-        assert pred.logits.shape == (2, K)
+        trajs, logits = forward(params, block(*scenes))
+        assert trajs.shape == (4, 2, K, T_FUT, 2)
+        assert logits.shape == (4, 2, K)
 
     def test_forward_horizon_mismatch_rejected(self, params):
         bad = generate_scene(ScenarioSpec(kind="follow"), seed=1,
                              t_obs=T_OBS, t_fut=T_FUT + 5)
         with pytest.raises(ValueError):
-            forward(params, bad)
+            block(bad)
 
     def test_fresh_model_tracks_constant_velocity_anchor(self, params, scenes):
         # offsets start small, so predictions stay near the CV rollout
-        pred = forward(params, scenes[1])
+        pred = predict(params, scenes[1])
         anchors = np.array([
             a.past_positions[-1] + 0.1 * np.arange(1, T_FUT + 1)[:, None]
             * a.past_velocities[-1]
@@ -114,8 +143,6 @@ class TestInitAndForward:
 
 
 def translate_scene(scene, offset):
-    from jointpref.scene_model import AgentTrack, Scene
-
     offset = np.asarray(offset, dtype=float)
     agents = tuple(
         AgentTrack(agent_id=a.agent_id,
@@ -134,8 +161,8 @@ class TestTranslationInvariance:
         # the trajectories rigidly and touches nothing else
         offset = np.array([123.0, -45.0])
         for scene in scenes:
-            base = forward(params, scene)
-            moved = forward(params, translate_scene(scene, offset))
+            base = predict(params, scene)
+            moved = predict(params, translate_scene(scene, offset))
             # centroid subtraction reintroduces float rounding, so equality
             # holds to addition roundoff rather than bit-exactly
             np.testing.assert_allclose(moved.logits, base.logits, atol=1e-9)
@@ -143,10 +170,20 @@ class TestTranslationInvariance:
                 moved.trajectories, base.trajectories + offset, atol=1e-9)
 
 
+def check_block_gradients(params, blk):
+    cfg = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0, gamma=5.0))
+    rep = RepellerParams()
+    for loss_fn in (lambda p: pretrain_scene_loss(p, blk),
+                    lambda p: simpo_scene_loss(p, blk, cfg, rep),
+                    lambda p: direct_scene_loss(p, blk, 10.0, rep)):
+        fd_check(params, None, lambda p: batch_mean(loss_fn(p)), tol=1e-4)
+
+
 class TestGradients:
     def test_pretrain_gradients(self, params, scenes):
         fd_check(params, scenes,
-                 lambda p: pretrain_scene_loss(p, scenes[0]), tol=1e-4)
+                 lambda p: batch_mean(pretrain_scene_loss(p, block(scenes[0]))),
+                 tol=1e-4)
 
     def test_simpo_gradients(self, params, scenes):
         cfg = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0,
@@ -154,23 +191,37 @@ class TestGradients:
         rep = RepellerParams()
 
         def loss_fn(p):
-            loss, grads, _ = simpo_scene_loss(p, scenes[0], cfg, rep)
-            return loss, grads
+            return batch_mean(simpo_scene_loss(p, block(scenes[0]), cfg, rep))
 
         fd_check(params, scenes, loss_fn, tol=1e-4)
 
     def test_direct_gradients(self, params, scenes):
         rep = RepellerParams()
         fd_check(params, scenes,
-                 lambda p: direct_scene_loss(p, scenes[0], 10.0, rep),
+                 lambda p: batch_mean(direct_scene_loss(p, block(scenes[0]),
+                                                        10.0, rep)),
                  tol=1e-4)
 
     def test_backward_zero_inputs_zero_grads(self, params, scenes):
-        pred, cache = forward(params, scenes[0], cache=True)
-        grads = backward(params, cache, np.zeros_like(pred.logits),
-                         np.zeros_like(pred.trajectories))
+        trajs, logits, cache = forward(params, block(scenes[0]), cache=True)
+        grads = backward(params, cache, np.zeros_like(logits),
+                         np.zeros_like(trajs))
         for k in PARAM_KEYS:
             assert np.all(grads[k] == 0)
+
+
+class TestBlockGradients:
+    """The batch-mean gradient of a block, every objective."""
+
+    def test_three_scene_block(self, params, scenes):
+        check_block_gradients(params, block(*scenes[:3]))
+
+    def test_three_agents(self, params):
+        # the social pooling divides by a - 1
+        check_block_gradients(params, block(hand_scene(3, 0), hand_scene(3, 1)))
+
+    def test_four_agents(self, params):
+        check_block_gradients(params, block(hand_scene(4, 2)))
 
 
 class TestSgd:
@@ -236,15 +287,15 @@ class TestTraining:
         cfg = TrainConfig(objective="simpo")
         rep = RepellerParams()
 
-        joint_before = aggregate_to_joint(forward(params, scene))
+        joint_before = aggregate_to_joint(predict(params, scene))
         rec = preference_cost(joint_before, scene.ground_truth_futures,
                               repeller_params=rep)
         worst = int(rec.ranking[-1])
         prob_before = joint_before.scene_probs[worst]
 
-        _, grads, _ = simpo_scene_loss(params, scene, cfg, rep)
+        _, grads, _ = simpo_scene_loss(params, block(scene), cfg, rep)
         sgd_step(params, grads, lr=1e-4)
-        joint_after = aggregate_to_joint(forward(params, scene))
+        joint_after = aggregate_to_joint(predict(params, scene))
         assert joint_after.scene_probs[worst] <= prob_before + 1e-9
 
     def test_invalid_config_rejected(self):
@@ -264,13 +315,13 @@ class TestLogitHeadIsolation:
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
         cfg = TrainConfig(objective="simpo")
         rep = RepellerParams()
-        before = [forward(params, s) for s in scenes]
+        before = [predict(params, s) for s in scenes]
         for _ in range(20):
             for scene in scenes:
-                _, grads, _ = simpo_scene_loss(params, scene, cfg, rep)
+                _, grads, _ = simpo_scene_loss(params, block(scene), cfg, rep)
                 for key in ("Wl", "bl"):
                     params[key] = params[key] - 0.05 * grads[key]
-        after = [forward(params, s) for s in scenes]
+        after = [predict(params, s) for s in scenes]
         changed = False
         for b, a in zip(before, after):
             np.testing.assert_array_equal(a.trajectories, b.trajectories)
@@ -291,8 +342,8 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        p0 = forward(params, scenes[0])
-        p1 = forward(loaded, scenes[0])
+        p0 = predict(params, scenes[0])
+        p1 = predict(loaded, scenes[0])
         np.testing.assert_array_equal(p0.trajectories, p1.trajectories)
         np.testing.assert_array_equal(p0.logits, p1.logits)
 
