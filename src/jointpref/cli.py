@@ -2,7 +2,8 @@
 
 Every command writes its artifact plus a manifest (merged config, seed,
 content hashes of inputs, wall time). Exit codes: 0 success, 2 config
-error, 3 missing upstream artifact, 4 validation failure.
+error, 3 missing upstream artifact, 4 validation failure or unreadable
+input file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from .mode_aggregation import aggregate_to_joint
 from .po_losses import SimPOConfig
 from .preference_ranking import (
     ExtractionConfig,
+    ExtractionSummary,
     extract_preference_subset,
     preference_cost,
 )
@@ -45,6 +48,10 @@ class ConfigError(Exception):
 
 
 class MissingArtifact(Exception):
+    pass
+
+
+class UnreadableArtifact(Exception):
     pass
 
 
@@ -214,13 +221,19 @@ def _match(source: str, found: dict, cfg: RunConfig, fields) -> None:
 
 
 def _read_split(cfg: RunConfig, path: Path):
-    scenes, header = read_scenes(path)
+    try:
+        scenes, header = read_scenes(path)
+    except (OSError, ValueError) as e:
+        raise UnreadableArtifact(f"{path}: {e}") from e
     _match(path.name, header, cfg, ("t_obs", "t_fut"))
     return scenes
 
 
 def _load_params(cfg: RunConfig, path: Path) -> dict:
-    params = toy_predictor.load_checkpoint(path)
+    try:
+        params = toy_predictor.load_checkpoint(path)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+        raise UnreadableArtifact(f"{path}: {e}") from e
     _match(path.name, params["_meta"], cfg, ("t_obs", "t_fut", "k", "hidden"))
     return params
 
@@ -287,13 +300,14 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
     return EXIT_OK
 
 
-def _predict_joints(params, scenes):
-    """Joint modes per scene id, from one forward pass over the split."""
-    meta = params["_meta"]
-    trajs, logits = toy_predictor.forward(
-        params, toy_predictor.scene_block(scenes, meta["t_obs"], meta["t_fut"]))
-    return {s.scene_id: aggregate_to_joint(MarginalPrediction(t, lg))
-            for s, t, lg in zip(scenes, trajs, logits)}
+def _predict_joints(params, split, batch_size: int):
+    """Yield (block, joint mode stack) for each batch_size chunk of a split;
+    one forward per chunk keeps memory flat in the split size."""
+    for start in range(0, len(split.ids), batch_size):
+        block = toy_predictor.SceneBlock(
+            *(x[start:start + batch_size] for x in split))
+        trajs, logits = toy_predictor.forward(params, block)
+        yield block, aggregate_to_joint(MarginalPrediction(trajs, logits))
 
 
 def cmd_extract(cfg: RunConfig, force: bool) -> int:
@@ -304,16 +318,19 @@ def cmd_extract(cfg: RunConfig, force: bool) -> int:
     started = time.time()
     train_path = _require(workdir / "train.jsonl", "gen")
     ckpt = _require(workdir / "pretrained.npz", "pretrain")
-    scenes = _read_split(cfg, train_path)
-    joints = _predict_joints(_load_params(cfg, ckpt), scenes)
-    records = [preference_cost(joints[s.scene_id], s.ground_truth_futures,
-                               lam=cfg.lam, repeller_params=cfg.repeller())
-               for s in scenes]
+    split = toy_predictor.scene_block(_read_split(cfg, train_path),
+                                      cfg.t_obs, cfg.t_fut)
+    params = _load_params(cfg, ckpt)
     econfig = ExtractionConfig(delta=cfg.delta,
                                collision_threshold=cfg.collision_threshold)
-    kept, summary = extract_preference_subset(
-        [s.scene_id for s in scenes],
-        [joints[s.scene_id] for s in scenes], records, econfig)
+    kept, summary = [], ExtractionSummary(0, 0, 0, 0)
+    for block, joints in _predict_joints(params, split, cfg.batch_size):
+        records = preference_cost(joints, block.futures, lam=cfg.lam,
+                                  repeller_params=cfg.repeller())
+        chunk_kept, chunk_summary = extract_preference_subset(
+            block.ids, joints, records, econfig)
+        kept += chunk_kept
+        summary += chunk_summary
     out.write_text("".join(sid + "\n" for sid in kept))
     (workdir / "extract_summary.json").write_text(json.dumps({
         "total": summary.total, "extracted": summary.extracted,
@@ -361,10 +378,13 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
     return EXIT_OK
 
 
-def _eval_checkpoint(cfg: RunConfig, scenes, ckpt: Path):
-    joints = _predict_joints(_load_params(cfg, ckpt), scenes)
+def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
+    params = _load_params(cfg, ckpt)
+    joints = (joint for _, joint in _predict_joints(params, split,
+                                                    cfg.batch_size))
     return eval_metrics.evaluate_dataset(
-        scenes, joints, top_n=cfg.top_n, threshold=cfg.collision_threshold)
+        split.ids, split.futures, joints, top_n=cfg.top_n,
+        threshold=cfg.collision_threshold)
 
 
 def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
@@ -378,11 +398,12 @@ def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
     out = workdir / f"report_{tag}.json"
     started = time.time()
     val_path = _require(workdir / "val.jsonl", "gen")
-    scenes = _read_split(cfg, val_path)
+    split = toy_predictor.scene_block(_read_split(cfg, val_path),
+                                      cfg.t_obs, cfg.t_fut)
     inputs = [val_path]
     if before is not None:
-        rb, _ = _eval_checkpoint(cfg, scenes, _require(Path(before), "pretrain"))
-        ra, _ = _eval_checkpoint(cfg, scenes, _require(Path(after), "finetune"))
+        rb, _ = _eval_checkpoint(cfg, split, _require(Path(before), "pretrain"))
+        ra, _ = _eval_checkpoint(cfg, split, _require(Path(after), "finetune"))
         payload = {"before": rb.to_dict(), "after": ra.to_dict(),
                    "comparison": eval_metrics.comparison_report(rb, ra)}
         inputs += [Path(before), Path(after)]
@@ -391,7 +412,7 @@ def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
                   f"({row['relative_change_percent']:+.1f}%)")
     else:
         ckpt = Path(checkpoint) if checkpoint else workdir / "pretrained.npz"
-        report, rows = _eval_checkpoint(cfg, scenes, _require(ckpt, "pretrain"))
+        report, rows = _eval_checkpoint(cfg, split, _require(ckpt, "pretrain"))
         payload = {"report": report.to_dict(),
                    "per_scene": [dataclasses.asdict(r) for r in rows]}
         inputs.append(ckpt)
@@ -441,9 +462,11 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
             code = step(sub, force)
             if code != EXIT_OK:
                 return code
-        scenes = _read_split(sub, Path(sub.workdir) / "val.jsonl")
-        rb, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "pretrained.npz")
-        ra, _ = _eval_checkpoint(sub, scenes, Path(sub.workdir) / "finetuned.npz")
+        split = toy_predictor.scene_block(
+            _read_split(sub, Path(sub.workdir) / "val.jsonl"),
+            sub.t_obs, sub.t_fut)
+        rb, _ = _eval_checkpoint(sub, split, Path(sub.workdir) / "pretrained.npz")
+        ra, _ = _eval_checkpoint(sub, split, Path(sub.workdir) / "finetuned.npz")
         rows.append({param: value, "before": rb.to_dict(), "after": ra.to_dict(),
                      "comparison": eval_metrics.comparison_report(rb, ra)})
         print(f"{param}={value:g}: SCR {rb.scr:.4f}->{ra.scr:.4f} "
@@ -528,6 +551,9 @@ def main(argv=None) -> int:
     except MissingArtifact as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return EXIT_MISSING
+    except UnreadableArtifact as e:
+        print(f"unreadable artifact: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

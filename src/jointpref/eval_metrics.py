@@ -3,22 +3,26 @@
 SCR is the fraction of evaluated joint modes containing a collision; pSCR
 weights that indicator by the predicted mode probabilities; MinJointFDE is
 the best per-mode mean endpoint error, all taken from one batched pass over
-a scene's modes. Dataset values are unweighted means over scenes.
+a (..., K, A, T, 2) stack of scenes' modes. Dataset values are unweighted
+means over scenes.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .collision_geometry import COLLISION_THRESHOLD_M, joint_collision_counts
+from .mode_aggregation import select_top_modes
 from .preference_ranking import avg_fde
-from .scene_model import JointModeSet, Scene
+from .scene_model import JointModeSet
 
 
 @dataclass(frozen=True)
 class SceneMetrics:
+    """One scene's metrics; for a stack of scenes each field is an array."""
+
     scene_id: str
     scr: float
     pscr: float
@@ -50,70 +54,73 @@ class MetricsReport:
         ]
 
 
-def scene_scr(collision_counts: np.ndarray) -> float:
-    """Fraction of modes with at least one collision."""
+def scene_scr(collision_counts: np.ndarray):
+    """Fraction of modes with at least one collision, per (..., K) row."""
     counts = np.asarray(collision_counts)
-    if counts.size < 1:
+    if counts.ndim < 1 or counts.shape[-1] < 1:
         raise ValueError("need at least one mode")
-    return float(np.mean(counts > 0))
+    return np.mean(counts > 0, axis=-1)
 
 
-def scene_pscr(scene_probs: np.ndarray, collision_counts: np.ndarray) -> float:
+def scene_pscr(scene_probs: np.ndarray, collision_counts: np.ndarray):
     """Probability-weighted collision indicator under the mode distribution."""
     probs = np.asarray(scene_probs, dtype=np.float64)
     counts = np.asarray(collision_counts)
-    if abs(probs.sum() - 1.0) > 1e-6:
+    if np.any(abs(probs.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("scene probabilities must sum to 1")
-    return float(np.sum(probs * (counts > 0)))
+    return np.sum(probs * (counts > 0), axis=-1)
 
 
-def min_joint_fde(joint: JointModeSet, ground_truth: np.ndarray) -> float:
-    """Minimum over modes of the per-mode mean endpoint displacement."""
-    return float(avg_fde(joint.modes, ground_truth).min())
-
-
-def scene_metrics(scene: Scene, joint: JointModeSet,
+def scene_metrics(scene_id, joint: JointModeSet, ground_truth: np.ndarray,
                   threshold: float = COLLISION_THRESHOLD_M) -> SceneMetrics:
+    """Metrics of a scene, or of a stack of scenes with (B,) ids and
+    (B, A, T, 2) ground truths."""
     counts = joint_collision_counts(joint.modes, threshold)
-    fdes = avg_fde(joint.modes, scene.ground_truth_futures)
+    fdes = avg_fde(joint.modes, np.expand_dims(ground_truth, -4))
     return SceneMetrics(
-        scene_id=scene.scene_id,
+        scene_id=scene_id,
         scr=scene_scr(counts),
         pscr=scene_pscr(joint.scene_probs, counts),
-        min_joint_fde=float(fdes.min()),
-        avg_fde_best=float(fdes[0]),
+        min_joint_fde=fdes.min(axis=-1),
+        avg_fde_best=fdes[..., 0],
     )
 
 
-def evaluate_dataset(scenes, joints_by_scene: dict, top_n: int = 6,
-                     threshold: float = COLLISION_THRESHOLD_M
+def evaluate_dataset(scene_ids, ground_truth: np.ndarray, joints,
+                     top_n: int = 6, threshold: float = COLLISION_THRESHOLD_M
                      ) -> tuple[MetricsReport, list[SceneMetrics]]:
-    """Aggregate per-scene metrics over a dataset.
+    """Per-scene metrics over a dataset and their unweighted means.
 
-    joints_by_scene maps every scene_id to a JointModeSet; each is cut here
-    to its top_n most probable modes, with renormalized probabilities.
+    scene_ids and the (N, A, T, 2) ground_truth list the dataset's scenes;
+    joints yields their joint mode stacks in the same order, each covering
+    the next run of scenes. Each stack is cut here to its top_n most
+    probable modes, with renormalized probabilities.
     """
-    from .mode_aggregation import select_top_modes
-
-    rows: list[SceneMetrics] = []
-    for scene in scenes:
-        if scene.scene_id not in joints_by_scene:
-            raise KeyError(f"no prediction for scene {scene.scene_id}")
-        joint = joints_by_scene[scene.scene_id]
+    scene_ids = np.asarray(scene_ids, dtype=str)
+    parts, done = [], 0
+    for joint in joints:
         if joint.num_modes >= top_n:
             joint = select_top_modes(joint, top_n)
-        rows.append(scene_metrics(scene, joint, threshold))
-    if not rows:
-        raise ValueError("empty dataset")
+        chunk = slice(done, done + len(joint.scene_logits))
+        parts.append(astuple(scene_metrics(scene_ids[chunk], joint,
+                                           ground_truth[chunk], threshold)))
+        done = chunk.stop
+    if done < len(scene_ids):
+        raise KeyError(f"no prediction for scene {scene_ids[done]}")
+    if done > len(scene_ids) or not parts:
+        raise ValueError(f"{done} predictions for {len(scene_ids)} scenes")
+    ids, scr, pscr, fde, fde_best = (np.concatenate(p) for p in zip(*parts))
     report = MetricsReport(
-        scr=float(np.mean([r.scr for r in rows])),
-        pscr=float(np.mean([r.pscr for r in rows])),
-        min_joint_fde=float(np.mean([r.min_joint_fde for r in rows])),
-        avg_fde=float(np.mean([r.avg_fde_best for r in rows])),
-        n_scenes=len(rows),
-        n_modes_evaluated=min(top_n, next(iter(joints_by_scene.values())).num_modes),
+        scr=float(np.mean(scr)),
+        pscr=float(np.mean(pscr)),
+        min_joint_fde=float(np.mean(fde)),
+        avg_fde=float(np.mean(fde_best)),
+        n_scenes=len(scr),
+        n_modes_evaluated=joint.num_modes,
         collision_threshold=threshold,
     )
+    rows = list(map(SceneMetrics, ids.tolist(), scr.tolist(), pscr.tolist(),
+                    fde.tolist(), fde_best.tolist()))
     return report, rows
 
 

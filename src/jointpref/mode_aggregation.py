@@ -19,13 +19,13 @@ from .scene_model import JointModeSet, MarginalPrediction
 class AggregationTrace:
     """Bookkeeping needed to backpropagate through aggregation.
 
-    agent_order[i, m] is the marginal mode index paired into joint pairing m
-    for agent i; emit_order[k] is the pairing index emitted as output mode k
-    (descending scene logit).
+    agent_order[..., i, m] is the marginal mode index paired into joint
+    pairing m for agent i; emit_order[..., k] is the pairing index emitted as
+    output mode k (descending scene logit).
     """
 
-    agent_order: np.ndarray  # (A, K) int
-    emit_order: np.ndarray   # (K,) int
+    agent_order: np.ndarray  # (..., A, K) int
+    emit_order: np.ndarray   # (..., K) int
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -43,34 +43,24 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
-def rank_marginal_modes(pred: MarginalPrediction) -> np.ndarray:
-    """Per-agent descending sort of logits; ties keep the lower index first.
-
-    Returns an (A, K) array whose row i is agent i's mode indices from most
-    to least likely.
-    """
-    logits = pred.logits
-    # stable sort on negated logits: equal logits keep original index order
-    return np.argsort(-logits, axis=1, kind="stable")
-
-
 def aggregate_to_joint(pred: MarginalPrediction,
                        return_trace: bool = False):
     """Pair per-agent modes by likelihood order and average the paired logits.
 
     Output modes are emitted in descending scene-logit order. Trajectories
-    are regrouped but numerically untouched.
+    are regrouped but numerically untouched. Leading axes of pred stack
+    scenes and are kept.
     """
-    a, k = pred.logits.shape
-    order = rank_marginal_modes(pred)                       # (A, K)
-    rows = np.arange(a)[:, None]
-    paired_logits = pred.logits[rows, order]                # (A, K)
-    scene_logits = paired_logits.mean(axis=0)               # (K,)
-    paired_trajs = pred.trajectories[rows, order]           # (A, K, T, 2)
-
-    emit = np.argsort(-scene_logits, kind="stable")         # (K,)
-    scene_logits = scene_logits[emit]
-    modes = np.transpose(paired_trajs[:, emit], (1, 0, 2, 3))  # (K, A, T, 2)
+    # each agent's modes, most likely first; equal logits keep index order
+    order = np.argsort(-pred.logits, axis=-1, kind="stable")         # (..., A, K)
+    scene_logits = np.take_along_axis(pred.logits, order, -1).mean(axis=-2)
+    emit = np.argsort(-scene_logits, axis=-1, kind="stable")         # (..., K)
+    # mode k, agent i is agent i's marginal mode order[..., i, emit[..., k]]
+    source = np.take_along_axis(order, emit[..., None, :], -1)       # (..., A, K)
+    modes = np.take_along_axis(np.swapaxes(pred.trajectories, -4, -3),
+                               np.swapaxes(source, -2, -1)[..., None, None],
+                               -4)                                   # (..., K, A, T, 2)
+    scene_logits = np.take_along_axis(scene_logits, emit, -1)
     joint = JointModeSet(modes=modes, scene_logits=scene_logits,
                          scene_probs=softmax(scene_logits))
     if return_trace:
@@ -85,12 +75,12 @@ def scene_logit_grad_to_agent_logits(d_scene_logits: np.ndarray,
     The pairing and emission permutations are treated as constant; each
     paired agent logit receives 1/A of its pairing's scene-logit gradient.
     """
-    a, k = trace.agent_order.shape
-    d_pairing = np.zeros(k)
-    d_pairing[trace.emit_order] = np.asarray(d_scene_logits, dtype=np.float64)
-    d_agent = np.zeros((a, k))
-    rows = np.arange(a)[:, None]
-    d_agent[rows, trace.agent_order] = d_pairing[None, :] / a
+    d_pairing = np.zeros(trace.emit_order.shape)
+    np.put_along_axis(d_pairing, trace.emit_order,
+                      np.asarray(d_scene_logits, dtype=np.float64), -1)
+    d_agent = np.zeros(trace.agent_order.shape)
+    np.put_along_axis(d_agent, trace.agent_order,
+                      d_pairing[..., None, :] / trace.agent_order.shape[-2], -1)
     return d_agent
 
 
@@ -99,9 +89,10 @@ def select_top_modes(joint: JointModeSet, n: int) -> JointModeSet:
     k = joint.num_modes
     if not 1 <= n <= k:
         raise ValueError(f"n must be in [1, {k}], got {n}")
-    keep = np.argsort(-joint.scene_probs, kind="stable")[:n]
-    keep = np.sort(keep)  # modes are stored probability-descending already
-    probs = joint.scene_probs[keep]
-    return JointModeSet(modes=joint.modes[keep],
-                        scene_logits=joint.scene_logits[keep],
-                        scene_probs=probs / probs.sum())
+    keep = np.argsort(-joint.scene_probs, axis=-1, kind="stable")[..., :n]
+    keep = np.sort(keep, axis=-1)  # modes are stored probability-descending
+    probs = np.take_along_axis(joint.scene_probs, keep, -1)
+    return JointModeSet(
+        modes=np.take_along_axis(joint.modes, keep[..., None, None, None], -4),
+        scene_logits=np.take_along_axis(joint.scene_logits, keep, -1),
+        scene_probs=probs / probs.sum(axis=-1, keepdims=True))

@@ -45,29 +45,33 @@ def bt_nll(reward_w: float, reward_l: float, gamma: float = 0.0) -> float:
     return -_log_sigmoid(reward_w - reward_l - gamma)
 
 
-def _check_permutation(ranking: np.ndarray, k: int) -> np.ndarray:
+def _check_permutation(ranking: np.ndarray, shape: tuple) -> np.ndarray:
+    """ranking as ints; ValueError unless every row permutes 0..K-1."""
     tau = np.asarray(ranking, dtype=np.int64)
-    if tau.shape != (k,) or not np.array_equal(np.sort(tau), np.arange(k)):
+    k = shape[-1]
+    if tau.shape != shape or np.any(np.sort(tau, axis=-1) != np.arange(k)):
         raise ValueError(f"ranking must be a permutation of 0..{k - 1}")
     return tau
 
 
-def pl_nll(rewards: np.ndarray, ranking: np.ndarray, gamma: float = 0.0) -> float:
+def pl_nll(rewards: np.ndarray, ranking: np.ndarray, gamma: float = 0.0):
     """Listwise ranking loss with rank-scaled target margin.
 
-    rewards[i] is the reward of mode i; ranking lists mode indices best
+    rewards[..., i] is the reward of mode i; ranking lists mode indices best
     first. Stage k (1-based) compares reward[tau(k)] + k*gamma against
-    log-sum-exp over j >= k of reward[tau(j)] + j*gamma.
+    log-sum-exp over j >= k of reward[tau(j)] + j*gamma. Leading axes stack
+    scenes, one loss each.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
-    k = rewards.shape[0]
-    tau = _check_permutation(ranking, k)
-    scores = rewards[tau] + gamma * np.arange(1, k + 1)
-    return float(np.sum(np.logaddexp.accumulate(scores[::-1])[::-1] - scores))
+    tau = _check_permutation(ranking, rewards.shape)
+    scores = (np.take_along_axis(rewards, tau, -1)
+              + gamma * np.arange(1, rewards.shape[-1] + 1))
+    lse = np.logaddexp.accumulate(scores[..., ::-1], axis=-1)[..., ::-1]
+    return np.sum(lse - scores, axis=-1)
 
 
 def pl_nll_from_logits(scene_logits: np.ndarray, ranking: np.ndarray,
-                       config: SimPOConfig) -> float:
+                       config: SimPOConfig):
     """pl_nll composed with rewards = beta * log_softmax(scene_logits)."""
     rewards = config.beta * log_softmax(scene_logits)
     return pl_nll(rewards, ranking, config.gamma)
@@ -77,41 +81,42 @@ def pl_nll_grad(scene_logits: np.ndarray, ranking: np.ndarray,
                 config: SimPOConfig) -> np.ndarray:
     """Analytic gradient of pl_nll_from_logits with respect to scene logits."""
     z = np.asarray(scene_logits, dtype=np.float64)
-    k = z.shape[0]
-    tau = _check_permutation(ranking, k)
-    rewards = config.beta * log_softmax(z)
-    scores = rewards[tau] + config.gamma * np.arange(1, k + 1)
+    tau = _check_permutation(ranking, z.shape)
+    scores = (np.take_along_axis(config.beta * log_softmax(z), tau, -1)
+              + config.gamma * np.arange(1, z.shape[-1] + 1))
     # dL/dscores in ranking order: stage i takes 1 off scores[i] and adds
     # exp(scores[j] - lse[i]) <= 1 to j >= i (clipped so j < i cannot overflow)
-    lse = np.logaddexp.accumulate(scores[::-1])[::-1]   # logsumexp(scores[i:])
-    w = np.triu(np.exp(np.minimum(scores[None, :] - lse[:, None], 0.0)))
-    d_scores = w.sum(axis=0) - 1.0
-    d_rewards = np.zeros(k)
-    d_rewards[tau] = d_scores
+    # lse[..., i] = logsumexp(scores[..., i:])
+    lse = np.logaddexp.accumulate(scores[..., ::-1], axis=-1)[..., ::-1]
+    w = np.triu(np.exp(np.minimum(scores[..., None, :] - lse[..., :, None],
+                                  0.0)))                      # (..., K, K)
+    d_rewards = np.zeros_like(z)
+    np.put_along_axis(d_rewards, tau, w.sum(axis=-2) - 1.0, -1)
     # rewards = beta * (z - logsumexp(z)); Jacobian is beta * (I - 1 p^T)
     p = softmax(z)
-    return config.beta * (d_rewards - d_rewards.sum() * p)
+    return config.beta * (d_rewards - d_rewards.sum(axis=-1, keepdims=True) * p)
 
 
 def direct_cost_loss(joint: JointModeSet, ground_truth: np.ndarray,
-                     lam: float, repeller_params: RepellerParams | None = None
-                     ) -> tuple[float, np.ndarray]:
+                     lam: float, repeller_params: RepellerParams | None = None):
     """Mean preference cost over modes plus its gradient w.r.t. positions.
 
-    Returns (loss, grad) with grad shaped like joint.modes. The endpoint
-    displacement term is non-differentiable at exact hits; its gradient is
-    taken as 0 there, matching the hinge convention of the repeller.
+    Returns (loss, grad) with grad shaped like joint.modes, one loss per
+    scene of a stack. The endpoint displacement term is non-differentiable
+    at exact hits; its gradient is taken as 0 there, matching the hinge
+    convention of the repeller.
     """
     params = repeller_params or RepellerParams()
     modes = joint.modes
     gt = np.asarray(ground_truth, dtype=np.float64)
-    k, a = modes.shape[0], modes.shape[1]
-    end_err = modes[:, :, -1, :] - gt[:, -1, :]              # (K, A, 2)
-    dist = np.linalg.norm(end_err, axis=-1)                  # (K, A)
+    k, a = modes.shape[-4], modes.shape[-3]
+    end_err = modes[..., -1, :] - gt[..., None, :, -1, :]    # (..., K, A, 2)
+    dist = np.linalg.norm(end_err, axis=-1)                  # (..., K, A)
     costs = dist.mean(axis=-1) + lam * mode_repeller_cost(modes, params)
-    loss = float(np.cumsum(costs)[-1]) / k   # summed in mode order, not pairwise
+    # summed in mode order, not pairwise
+    loss = np.cumsum(costs, axis=-1)[..., -1] / k
     grad = lam * repeller_cost_grad(modes, params)
     safe = np.where(dist > 0, dist, 1.0)
-    grad[:, :, -1, :] += np.where(dist[..., None] > 0,
-                                  end_err / safe[..., None], 0.0) / a
+    grad[..., -1, :] += np.where(dist[..., None] > 0,
+                                 end_err / safe[..., None], 0.0) / a
     return loss, grad / k

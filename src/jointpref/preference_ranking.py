@@ -1,14 +1,14 @@
 """Per-mode preference costs, mode rankings and preference-subset extraction.
 
 Cost of a joint mode = average final displacement error + lambda * repeller
-cost; lower is better, computed for a scene's whole (K, A, T, 2) mode stack
-at once. A scene enters the fine-tuning subset if any mode collides or the
-cost spread across modes exceeds delta.
+cost; lower is better, computed for a whole (..., K, A, T, 2) stack of
+scenes' modes at once. A scene enters the fine-tuning subset if any mode
+collides or the cost spread across modes exceeds delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -26,16 +26,16 @@ DEFAULT_DELTA = 2.5        # cost-spread threshold; 1.0 is the easier preset
 
 @dataclass(frozen=True)
 class PreferenceRecord:
-    """Costs and ranking for one scene's joint modes.
+    """Costs and ranking of the joint modes of a scene, or a stack of them.
 
-    ranking[k] is the index of the (k+1)-th best mode; costs along the
+    ranking[..., k] is the index of the (k+1)-th best mode; costs along the
     ranking are non-decreasing.
     """
 
-    avg_fde: np.ndarray    # (K,) meters
-    repeller: np.ndarray   # (K,)
-    cost: np.ndarray       # (K,) avg_fde + lam * repeller
-    ranking: np.ndarray    # (K,) permutation, best mode first
+    avg_fde: np.ndarray    # (..., K) meters
+    repeller: np.ndarray   # (..., K)
+    cost: np.ndarray       # (..., K) avg_fde + lam * repeller
+    ranking: np.ndarray    # (..., K) permutation, best mode first
     lam: float
 
 
@@ -52,29 +52,32 @@ class ExtractionConfig:
 
 
 def avg_fde(modes: np.ndarray, ground_truth: np.ndarray):
-    """Mean over agents of the final-step displacement, per (..., A, T, 2) mode."""
+    """Mean over agents of the final-step displacement, per (..., A, T, 2)
+    mode against a broadcasting (..., A, T, 2) ground truth."""
     modes = np.asarray(modes, dtype=np.float64)
     gt = np.asarray(ground_truth, dtype=np.float64)
-    if modes.shape[-3:] != gt.shape:
+    if modes.shape[-3:] != gt.shape[-3:]:
         raise ValueError(f"shape mismatch: {modes.shape} vs {gt.shape}")
-    return np.linalg.norm(modes[..., -1, :] - gt[:, -1], axis=-1).mean(axis=-1)
+    return np.linalg.norm(modes[..., -1, :] - gt[..., -1, :],
+                          axis=-1).mean(axis=-1)
 
 
 def preference_cost(joint: JointModeSet, ground_truth: np.ndarray,
                     lam: float = DEFAULT_LAMBDA,
                     repeller_params: RepellerParams | None = None
                     ) -> PreferenceRecord:
-    """Cost every mode and rank ascending by cost.
+    """Cost every mode and rank each scene's modes ascending by cost.
 
-    Ties break toward the higher-probability mode, then the lower mode index.
+    ground_truth holds one (A, T, 2) future per scene. Ties break toward the
+    higher-probability mode, then the lower mode index.
     """
     params = repeller_params or RepellerParams()
-    fdes = avg_fde(joint.modes, ground_truth)
+    fdes = avg_fde(joint.modes, np.expand_dims(ground_truth, -4))
     reps = mode_repeller_cost(joint.modes, params)
     costs = fdes + lam * reps
-    # lexsort keys: last key is primary; -probs prefers likelier modes on ties
-    ranking = np.lexsort((np.arange(joint.num_modes),
-                          -joint.scene_probs, costs))
+    # lexsort keys: last key is primary; -probs prefers likelier modes on
+    # ties, and the sort is stable, so the lower index wins a full tie
+    ranking = np.lexsort((-joint.scene_probs, costs), axis=-1)
     return PreferenceRecord(avg_fde=fdes, repeller=reps, cost=costs,
                             ranking=ranking, lam=lam)
 
@@ -90,29 +93,34 @@ class ExtractionSummary:
     def fraction(self) -> float:
         return self.extracted / self.total if self.total else 0.0
 
+    def __add__(self, other: ExtractionSummary) -> ExtractionSummary:
+        """Counts over the scenes of both summaries."""
+        return ExtractionSummary(*(a + b for a, b in zip(astuple(self),
+                                                          astuple(other))))
+
 
 def scene_is_preferred(joint: JointModeSet, record: PreferenceRecord,
-                       config: ExtractionConfig) -> tuple[bool, bool, bool]:
-    """Per-scene inclusion decision: (included, via_collision, via_spread)."""
+                       config: ExtractionConfig):
+    """Per-scene inclusion decision: (included, via_collision, via_spread),
+    each a bool array over the stack's scenes."""
     counts = joint_collision_counts(joint.modes, config.collision_threshold)
-    via_collision = bool(np.any(counts > 0))
-    via_spread = bool(record.cost.max() - record.cost.min() > config.delta)
-    return via_collision or via_spread, via_collision, via_spread
+    via_collision = np.any(counts > 0, axis=-1)
+    via_spread = (record.cost.max(axis=-1) - record.cost.min(axis=-1)
+                  > config.delta)
+    return via_collision | via_spread, via_collision, via_spread
 
 
-def extract_preference_subset(scene_ids, joints, records,
+def extract_preference_subset(scene_ids, joints: JointModeSet,
+                              records: PreferenceRecord,
                               config: ExtractionConfig
                               ) -> tuple[list[str], ExtractionSummary]:
-    """Select scene ids whose modes collide or whose cost spread exceeds delta."""
-    scene_ids = list(scene_ids)
-    kept: list[str] = []
-    n_coll = n_spread = 0
-    for sid, joint, rec in zip(scene_ids, joints, records):
-        included, via_coll, via_spread = scene_is_preferred(joint, rec, config)
-        if included:
-            kept.append(sid)
-        n_coll += via_coll
-        n_spread += via_spread
+    """Select scene ids whose modes collide or whose cost spread exceeds
+    delta; joints and records stack one scene per id, in the same order."""
+    scene_ids = np.asarray(scene_ids, dtype=str)
+    included, via_coll, via_spread = scene_is_preferred(joints, records, config)
+    if included.shape != scene_ids.shape:
+        raise ValueError(f"{scene_ids.size} ids for {included.shape} scenes")
+    kept = scene_ids[included].tolist()
     return kept, ExtractionSummary(total=len(scene_ids), extracted=len(kept),
-                                   collision_branch_count=n_coll,
-                                   spread_branch_count=n_spread)
+                                   collision_branch_count=int(via_coll.sum()),
+                                   spread_branch_count=int(via_spread.sum()))

@@ -73,19 +73,20 @@ class Scene:
 
 @dataclass(frozen=True)
 class MarginalPrediction:
-    """Per-agent K trajectories with unnormalized scores, same K for all agents."""
+    """Per-agent K trajectories with unnormalized scores, same K for all agents.
 
-    trajectories: np.ndarray  # (A, K, T_fut, 2)
-    logits: np.ndarray        # (A, K)
+    Leading axes stack scenes. Arrays are stored C-contiguous, so a scene's
+    sums run in the same order alone and inside a stack."""
+
+    trajectories: np.ndarray  # (..., A, K, T_fut, 2)
+    logits: np.ndarray        # (..., A, K)
 
     def __post_init__(self):
-        trajs = np.asarray(self.trajectories, dtype=np.float64)
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if trajs.ndim != 4 or logits.ndim != 2:
-            raise ValueError("trajectories must be (A, K, T_fut, 2), logits (A, K)")
-        if trajs.shape[:2] != logits.shape:
-            raise ValueError(
-                f"agent/mode shape mismatch: {trajs.shape[:2]} vs {logits.shape}")
+        trajs = np.ascontiguousarray(self.trajectories, dtype=np.float64)
+        logits = np.ascontiguousarray(self.logits, dtype=np.float64)
+        if logits.ndim < 2 or trajs.shape[:-2] != logits.shape:
+            raise ValueError(f"agent/mode shape mismatch: trajectories "
+                             f"{trajs.shape}, logits {logits.shape}")
         if not np.all(np.isfinite(logits)):
             raise ValueError("logits must be finite")
         trajs.setflags(write=False)
@@ -95,28 +96,30 @@ class MarginalPrediction:
 
     @property
     def num_agents(self) -> int:
-        return self.trajectories.shape[0]
+        return self.logits.shape[-2]
 
     @property
     def num_modes(self) -> int:
-        return self.trajectories.shape[1]
+        return self.logits.shape[-1]
 
 
 @dataclass(frozen=True)
 class JointModeSet:
-    """K scene-level modes, each pairing one trajectory per agent."""
+    """K scene-level modes, each pairing one trajectory per agent; leading
+    axes stack scenes, as in MarginalPrediction."""
 
-    modes: np.ndarray         # (K, A, T_fut, 2)
-    scene_logits: np.ndarray  # (K,)
-    scene_probs: np.ndarray   # (K,) softmax of scene_logits
+    modes: np.ndarray         # (..., K, A, T_fut, 2)
+    scene_logits: np.ndarray  # (..., K)
+    scene_probs: np.ndarray   # (..., K) softmax of scene_logits
 
     def __post_init__(self):
-        modes = np.asarray(self.modes, dtype=np.float64)
-        logits = np.asarray(self.scene_logits, dtype=np.float64)
-        probs = np.asarray(self.scene_probs, dtype=np.float64)
+        modes = np.ascontiguousarray(self.modes, dtype=np.float64)
+        logits = np.ascontiguousarray(self.scene_logits, dtype=np.float64)
+        probs = np.ascontiguousarray(self.scene_probs, dtype=np.float64)
         if not np.all(np.isfinite(logits)):
             raise ValueError("scene logits must be finite")
-        if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs < 0) or np.any(probs > 1):
+        if np.any((abs(probs.sum(axis=-1, keepdims=True) - 1.0) > 1e-9)
+                  | (probs < 0) | (probs > 1)):
             raise ValueError("scene_probs must be a distribution")
         for arr in (modes, logits, probs):
             arr.setflags(write=False)
@@ -126,11 +129,11 @@ class JointModeSet:
 
     @property
     def num_modes(self) -> int:
-        return self.modes.shape[0]
+        return self.scene_logits.shape[-1]
 
     @property
     def num_agents(self) -> int:
-        return self.modes.shape[1]
+        return self.modes.shape[-3]
 
 
 @dataclass

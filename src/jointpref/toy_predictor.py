@@ -98,11 +98,12 @@ def zero_grads(params: dict) -> dict:
 
 
 class SceneBlock(NamedTuple):
-    """Scenes as (N, A, ...) arrays: the predictor's inputs and targets."""
+    """Scenes as (N, ...) arrays: the predictor's inputs and targets."""
 
     features: np.ndarray   # (N, A, d_in)
     anchors: np.ndarray    # (N, A, T_fut, 2) constant-velocity rollouts
     futures: np.ndarray    # (N, A, T_fut, 2) ground truth
+    ids: np.ndarray        # (N,) scene ids
 
 
 def _features(positions: np.ndarray, velocities: np.ndarray,
@@ -140,7 +141,8 @@ def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
     return SceneBlock(
         features=_features(positions, velocities, tracks("past_yaws")),
         anchors=_anchors(positions, velocities, t_fut),
-        futures=np.array([scene.ground_truth_futures for scene in scenes]))
+        futures=np.array([scene.ground_truth_futures for scene in scenes]),
+        ids=np.array([scene.scene_id for scene in scenes], dtype=str))
 
 
 def forward(params: dict, block: SceneBlock, cache: bool = False):
@@ -254,36 +256,32 @@ def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
                      repeller: RepellerParams):
     """Listwise loss and top/bottom reward gap per scene; batch-mean grads."""
     trajs, logits, cache = forward(params, block, cache=True)
-    losses, gaps = np.empty(len(logits)), np.empty(len(logits))
-    d_logits = np.empty_like(logits)
-    for i, (t, lg, gt) in enumerate(zip(trajs, logits, block.futures)):
-        joint, trace = aggregate_to_joint(MarginalPrediction(t, lg),
-                                          return_trace=True)
-        tau = preference_cost(joint, gt, lam=config.lam,
-                              repeller_params=repeller).ranking
-        losses[i] = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
-        d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
-        d_logits[i] = scene_logit_grad_to_agent_logits(d_scene, trace)
-        rewards = config.simpo.beta * log_softmax(joint.scene_logits)
-        gaps[i] = rewards[tau[0]] - rewards[tau[-1]]
-    return losses, backward(params, cache, d_logits, None), gaps
+    joint, trace = aggregate_to_joint(MarginalPrediction(trajs, logits),
+                                      return_trace=True)
+    tau = preference_cost(joint, block.futures, lam=config.lam,
+                          repeller_params=repeller).ranking
+    losses = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
+    d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
+    d_logits = scene_logit_grad_to_agent_logits(d_scene, trace)
+    rewards = config.simpo.beta * log_softmax(joint.scene_logits)
+    ends = np.take_along_axis(rewards, tau[:, [0, -1]], 1)
+    return losses, backward(params, cache, d_logits, None), ends[:, 0] - ends[:, 1]
 
 
 def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
                       repeller: RepellerParams):
     """Direct preference-cost loss per scene; batch-mean grads via offsets."""
     trajs, logits, cache = forward(params, block, cache=True)
-    losses = np.empty(len(logits))
+    joint, trace = aggregate_to_joint(MarginalPrediction(trajs, logits),
+                                      return_trace=True)
+    losses, d_modes = direct_cost_loss(joint, block.futures, lam=lam,
+                                       repeller_params=repeller)
+    # mode k, agent j came from marginal mode agent_order[b, j, emit_order[b, k]]
+    source = np.take_along_axis(trace.agent_order,
+                                trace.emit_order[:, None, :], 2)   # (B, A, K)
     d_trajs = np.zeros_like(trajs)
-    agents = np.arange(logits.shape[1])[:, None]
-    for i, (t, lg, gt) in enumerate(zip(trajs, logits, block.futures)):
-        joint, trace = aggregate_to_joint(MarginalPrediction(t, lg),
-                                          return_trace=True)
-        losses[i], d_modes = direct_cost_loss(joint, gt, lam=lam,
-                                              repeller_params=repeller)
-        # mode k, agent j came from marginal mode agent_order[j, emit_order[k]]
-        d_trajs[i, agents, trace.agent_order[:, trace.emit_order]] = \
-            d_modes.swapaxes(0, 1)
+    np.put_along_axis(d_trajs, source[..., None, None],
+                      d_modes.swapaxes(1, 2), 2)
     return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
 
 

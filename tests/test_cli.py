@@ -296,3 +296,40 @@ class TestMisuse:
         assert run(workdir, "pretrain", sets=[("t_obs", "8")]) == EXIT_CONFIG
         assert "t_obs: train.jsonl has 10" in capsys.readouterr().err
         assert not (workdir / "pretrained.npz").exists()
+
+    def test_truncated_scene_file_names_it(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        val = workdir / "val.jsonl"
+        text = val.read_text()
+        val.write_text(text[:len(text.splitlines()[0]) + 40])
+        assert run(workdir, "eval", "--tag", "x") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(val) in err and "line 2" in err
+        assert not (workdir / "report_x.json").exists()
+
+    def test_garbage_checkpoint_names_it(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        ckpt = workdir / "pretrained.npz"
+        ckpt.write_bytes(b"not a checkpoint\n" * 8)
+        assert run(workdir, "extract") == EXIT_VALIDATION
+        assert str(ckpt) in capsys.readouterr().err
+        assert not (workdir / "subset.txt").exists()
+
+
+def test_extract_and_eval_bytes_independent_of_chunk_size(pretrained, tmp_path):
+    """Extract and eval score a split in batch_size chunks; the artifacts
+    must not depend on where the chunks are cut."""
+    outputs = []
+    for size in ("1", "3", "1000"):
+        workdir = copy_run(pretrained, tmp_path / size)
+        sets = [("batch_size", size)]
+        assert run(workdir, "extract", sets=sets) == EXIT_OK
+        assert run(workdir, "eval", "--tag", "base", sets=sets) == EXIT_OK
+        assert run(workdir, "eval", "--before", str(workdir / "pretrained.npz"),
+                   "--after", str(workdir / "pretrained.npz"),
+                   "--tag", "pair", sets=sets) == EXIT_OK
+        outputs.append({name: (workdir / name).read_bytes() for name in (
+            "subset.txt", "extract_summary.json", "report_base.json",
+            "report_pair.json")})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0]["extract_summary.json"])["total"] == 40

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from jointpref.eval_metrics import (
     comparison_report,
     evaluate_dataset,
-    min_joint_fde,
     scene_metrics,
     scene_pscr,
     scene_scr,
@@ -21,6 +20,18 @@ def make_joint(modes, logits=None):
     logits = np.asarray(logits, dtype=float)
     return JointModeSet(modes=modes, scene_logits=logits,
                         scene_probs=softmax(logits))
+
+
+def stack(*joints):
+    """Single-scene mode sets as one stack of scenes."""
+    return JointModeSet(*(np.stack(arrays) for arrays in zip(
+        *((j.modes, j.scene_logits, j.scene_probs) for j in joints))))
+
+
+def scene_arrays(scenes):
+    """The scene ids and stacked ground truths evaluate_dataset takes."""
+    return ([s.scene_id for s in scenes],
+            np.array([s.ground_truth_futures for s in scenes]))
 
 
 def make_scene(scene_id, futures, t_obs=3):
@@ -95,12 +106,13 @@ class TestMinJointFde:
         bad = gt.copy()
         bad[:, -1, 0] += 7.0
         joint = make_joint(np.stack([bad, good]))
-        assert min_joint_fde(joint, gt) == pytest.approx(1.0, abs=1e-12)
+        assert scene_metrics("s", joint, gt).min_joint_fde == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_zero_for_perfect_mode(self):
         gt = separated_gt()
         joint = make_joint(np.stack([gt, gt + 50.0]))
-        assert min_joint_fde(joint, gt) == 0.0
+        assert scene_metrics("s", joint, gt).min_joint_fde == 0.0
 
 
 class TestSceneMetrics:
@@ -112,7 +124,7 @@ class TestSceneMetrics:
         joint = make_joint(np.stack([clean, colliding]),
                            logits=np.array([1.0, 0.0]))
         scene = make_scene("s", gt)
-        m = scene_metrics(scene, joint)
+        m = scene_metrics(scene.scene_id, joint, scene.ground_truth_futures)
         assert m.scr == pytest.approx(0.5)
         # only the second (lower-probability) mode collides
         assert m.pscr == pytest.approx(softmax(np.array([1.0, 0.0]))[1])
@@ -127,11 +139,12 @@ class TestEvaluateDataset:
         colliding[1] = colliding[0] + 0.2
         s1 = make_scene("a", gt)
         s2 = make_scene("b", gt)
-        joints = {
-            "a": make_joint(np.stack([gt, gt])),           # scr 0
-            "b": make_joint(np.stack([colliding, colliding])),  # scr 1
-        }
-        report, rows = evaluate_dataset([s1, s2], joints, top_n=6)
+        joints = stack(
+            make_joint(np.stack([gt, gt])),                # scr 0
+            make_joint(np.stack([colliding, colliding])),  # scr 1
+        )
+        report, rows = evaluate_dataset(*scene_arrays([s1, s2]), [joints],
+                                        top_n=6)
         assert report.scr == pytest.approx(0.5)
         assert report.pscr == pytest.approx(0.5)
         assert report.n_scenes == 2
@@ -145,23 +158,25 @@ class TestEvaluateDataset:
         joint = make_joint(np.stack([gt, gt, colliding]),
                            logits=np.array([2.0, 1.0, 0.0]))
         scene = make_scene("s", gt)
-        report, _ = evaluate_dataset([scene], {"s": joint}, top_n=2)
+        report, _ = evaluate_dataset(*scene_arrays([scene]), [stack(joint)],
+                                     top_n=2)
         assert report.scr == 0.0
         assert report.n_modes_evaluated == 2
 
     def test_missing_prediction_names_scene(self):
         scene = make_scene("missing-one", separated_gt())
         with pytest.raises(KeyError, match="missing-one"):
-            evaluate_dataset([scene], {}, top_n=6)
+            evaluate_dataset(*scene_arrays([scene]), [], top_n=6)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_dataset([], {"x": None}, top_n=6)
+            evaluate_dataset([], np.zeros((0, 2, 4, 2)), [], top_n=6)
 
     def test_report_round_trips_to_dict(self):
         gt = separated_gt()
         scene = make_scene("s", gt)
-        report, _ = evaluate_dataset([scene], {"s": make_joint(np.stack([gt]))})
+        report, _ = evaluate_dataset(*scene_arrays([scene]),
+                                     [stack(make_joint(np.stack([gt])))])
         d = report.to_dict()
         assert d["scr"] == 0.0
         assert d["n_scenes"] == 1
@@ -178,13 +193,14 @@ class TestBruteForceRecomputation:
             np.mean([np.hypot(*(modes[k, i, -1] - gt[i, -1]))
                      for i in range(3)])
             for k in range(6))
-        assert min_joint_fde(joint, gt) == pytest.approx(expected, abs=1e-12)
+        assert scene_metrics("s", joint, gt).min_joint_fde == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_dataset_report_matches_bruteforce(self):
         # independent recomputation of every dataset-level mean from raw
         # coordinates, without going through the per-scene helpers
         rng = np.random.default_rng(23)
-        scenes, joints = [], {}
+        scenes, joints = [], []
         exp_scr, exp_pscr, exp_fde = [], [], []
         for idx in range(25):
             gt = rng.normal(size=(2, 4, 2)) * 20
@@ -195,7 +211,7 @@ class TestBruteForceRecomputation:
             order = np.argsort(-logits, kind="stable")
             sid = f"s{idx}"
             scenes.append(make_scene(sid, gt))
-            joints[sid] = make_joint(modes[order], logits[order])
+            joints.append(make_joint(modes[order], logits[order]))
             hit = np.array([
                 np.min(np.hypot(*(modes[k, 0] - modes[k, 1]).T)) < 1.0
                 for k in range(3)])
@@ -205,7 +221,8 @@ class TestBruteForceRecomputation:
                 0.5 * (np.hypot(*(modes[k, 0, -1] - gt[0, -1]))
                        + np.hypot(*(modes[k, 1, -1] - gt[1, -1])))
                 for k in range(3)))
-        report, _ = evaluate_dataset(scenes, joints, top_n=3)
+        report, _ = evaluate_dataset(*scene_arrays(scenes), [stack(*joints)],
+                                     top_n=3)
         assert report.scr == pytest.approx(np.mean(exp_scr), abs=1e-12)
         assert report.pscr == pytest.approx(np.mean(exp_pscr), abs=1e-9)
         assert report.min_joint_fde == pytest.approx(np.mean(exp_fde), abs=1e-9)
@@ -218,9 +235,10 @@ class TestComparisonReport:
         colliding = gt.copy()
         colliding[1] = colliding[0] + 0.2
         before, _ = evaluate_dataset(
-            [scene], {"s": make_joint(np.stack([colliding, colliding]))})
+            *scene_arrays([scene]),
+            [stack(make_joint(np.stack([colliding, colliding])))])
         after, _ = evaluate_dataset(
-            [scene], {"s": make_joint(np.stack([colliding, gt]))})
+            *scene_arrays([scene]), [stack(make_joint(np.stack([colliding, gt])))])
         table = comparison_report(before, after)
         assert table["scr"]["before"] == 1.0
         assert table["scr"]["after"] == 0.5
@@ -229,6 +247,7 @@ class TestComparisonReport:
     def test_zero_baseline_gives_nan(self):
         gt = separated_gt()
         scene = make_scene("s", gt)
-        rep, _ = evaluate_dataset([scene], {"s": make_joint(np.stack([gt]))})
+        rep, _ = evaluate_dataset(*scene_arrays([scene]),
+                                  [stack(make_joint(np.stack([gt])))])
         table = comparison_report(rep, rep)
         assert np.isnan(table["scr"]["relative_change_percent"])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from jointpref.mode_aggregation import (
     aggregate_to_joint,
     log_softmax,
-    rank_marginal_modes,
     scene_logit_grad_to_agent_logits,
     select_top_modes,
     softmax,
@@ -42,14 +41,19 @@ class TestSoftmax:
                                    atol=1e-12)
 
 
+def agent_order(pred):
+    """Each agent's mode indices from most to least likely."""
+    return aggregate_to_joint(pred, return_trace=True)[1].agent_order
+
+
 class TestRankMarginalModes:
     def test_descending_order(self):
         pred = make_pred([[2.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(rank_marginal_modes(pred), [[0, 2, 1]])
+        np.testing.assert_array_equal(agent_order(pred), [[0, 2, 1]])
 
     def test_ties_keep_lower_index_first(self):
         pred = make_pred([[1.0, 1.0, 0.5]])
-        np.testing.assert_array_equal(rank_marginal_modes(pred), [[0, 1, 2]])
+        np.testing.assert_array_equal(agent_order(pred), [[0, 1, 2]])
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -57,7 +61,7 @@ class TestRankMarginalModes:
         rng = np.random.default_rng(seed)
         a, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
         pred = make_pred(rng.normal(size=(a, k)))
-        order = rank_marginal_modes(pred)
+        order = agent_order(pred)
         for row in order:
             assert sorted(row) == list(range(k))
 

@@ -185,10 +185,10 @@ class TestExtraction:
         wide[:, -1, 0] += 10.0
         near = gt.copy()
         near[:, -1, 0] += 0.5
-        joints = [make_joint(np.stack([gt, colliding])),
-                  make_joint(np.stack([gt, wide])),
-                  make_joint(np.stack([gt, near]))]
-        records = [preference_cost(j, gt) for j in joints]
+        joints = make_joint(np.stack([np.stack([gt, colliding]),
+                                      np.stack([gt, wide]),
+                                      np.stack([gt, near])]), np.zeros((3, 2)))
+        records = preference_cost(joints, np.stack([gt] * 3))
         kept, summary = extract_preference_subset(["a", "b", "c"], joints,
                                                   records, self.config)
         assert kept == ["a", "b"]
@@ -198,7 +198,10 @@ class TestExtraction:
         assert summary.fraction == pytest.approx(2 / 3)
 
     def test_empty_input(self):
-        kept, summary = extract_preference_subset([], [], [], self.config)
+        joints = make_joint(np.zeros((0, 2, 2, 5, 2)), np.zeros((0, 2)))
+        records = preference_cost(joints, np.zeros((0, 2, 5, 2)))
+        kept, summary = extract_preference_subset([], joints, records,
+                                                  self.config)
         assert kept == []
         assert summary.fraction == 0.0
 
