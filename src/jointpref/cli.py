@@ -1,9 +1,10 @@
 """Pipeline CLI: gen, pretrain, extract, finetune, eval, ablate, report.
 
-Every command writes its artifact plus a manifest (merged config, seed,
-content hashes of inputs, wall time). Exit codes: 0 success, 2 config
-error, 3 missing upstream artifact, 4 validation failure or unreadable
-input file.
+Every stage writes its artifacts plus a manifest (merged config, seed,
+content hashes of inputs and outputs, wall time), and reuses existing
+artifacts only while that manifest still matches. Exit codes: 0 success,
+2 config error or stale artifact, 3 missing upstream artifact, 4
+validation failure or unreadable input file.
 """
 
 from __future__ import annotations
@@ -15,14 +16,22 @@ import json
 import sys
 import time
 import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import eval_metrics, scenegen, toy_predictor
-from .collision_geometry import RepellerParams
+from .collision_geometry import (
+    COLLISION_THRESHOLD_M,
+    DEFAULT_EPSILON,
+    DEFAULT_RADIUS_M,
+    RepellerParams,
+)
 from .mode_aggregation import aggregate_to_joint
-from .po_losses import SimPOConfig
+from .po_losses import DEFAULT_BETA, DEFAULT_GAMMA, SimPOConfig
 from .preference_ranking import (
+    DEFAULT_LAMBDA,
     ExtractionConfig,
     ExtractionSummary,
     extract_preference_subset,
@@ -34,8 +43,8 @@ from .scene_model import (
     validate_scene,
     write_scenes,
 )
-from .scenegen import ScenarioSpec
-from .toy_predictor import TrainConfig
+from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
+from .toy_predictor import HIDDEN, TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,24 +81,24 @@ class RunConfig:
     parallel_weight: float = 0.45
     num_agents: int = 2
     noise_std: float = 0.05
-    t_obs: int = 10
-    t_fut: int = 30
+    t_obs: int = DEFAULT_T_OBS
+    t_fut: int = DEFAULT_T_FUT
     # predictor / decoding
     k: int = 6
     top_n: int = 6
-    hidden: int = 64
+    hidden: int = HIDDEN
     # preference metric / extraction
-    lam: float = 1e3
+    lam: float = DEFAULT_LAMBDA
     # extraction threshold co-tuned with the default scene mixture so the
     # subset stays a minority of the training set; harder crossing-heavy
     # mixtures pair naturally with smaller deltas (2.5 or 1.0)
     delta: float = 10.0
-    repeller_r: float = 1.0
-    repeller_eps: float = 1e-6
-    collision_threshold: float = 1.0
+    repeller_r: float = DEFAULT_RADIUS_M
+    repeller_eps: float = DEFAULT_EPSILON
+    collision_threshold: float = COLLISION_THRESHOLD_M
     # optimization
-    beta: float = 2.0
-    gamma: float = 5.0
+    beta: float = DEFAULT_BETA
+    gamma: float = DEFAULT_GAMMA
     # optimizer settings sized to this small network; rates tuned for
     # production-scale predictors (around 1e-5) are inert here
     pretrain_lr: float = 0.1
@@ -110,13 +119,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.t_obs < 2:
             raise ConfigError("t_obs must be >= 2 (velocities need two steps)")
-        for name in WEIGHTS:   # 0 leaves a kind out
+        for name in ("n_val", *WEIGHTS):   # a 0 weight leaves a kind out
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         try:   # the parameter dataclasses check their own fields
             specs = self.mixture()
             self.repeller()
             self.simpo()
+            self.extraction()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         if not specs:
@@ -134,6 +144,10 @@ class RunConfig:
 
     def simpo(self) -> SimPOConfig:
         return SimPOConfig(beta=self.beta, gamma=self.gamma)
+
+    def extraction(self) -> ExtractionConfig:
+        return ExtractionConfig(delta=self.delta,
+                                collision_threshold=self.collision_threshold)
 
 
 def _checked(key: str, value, current):
@@ -191,15 +205,23 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _hashes(workdir: Path, paths: list[Path]) -> dict:
+    """sha256 per file, keyed by name in workdir and by path elsewhere."""
+    return {p.name if p.parent == workdir else str(p): _hash_file(p)
+            for p in dict.fromkeys(paths)}
+
+
 def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
-                    inputs: list[Path], started: float) -> None:
+                    inputs: list[Path], outputs: list[Path],
+                    started: float) -> None:
     cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     manifest = {
         "step": step,
         "config": json.loads(cfg_json),
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "seed": cfg.seed,
-        "input_hashes": {p.name: _hash_file(p) for p in inputs if p.exists()},
+        "input_hashes": _hashes(workdir, inputs),
+        "output_hashes": _hashes(workdir, outputs),
         "wall_time_s": round(time.time() - started, 3),
     }
     (workdir / f"{step}_manifest.json").write_text(
@@ -220,13 +242,21 @@ def _match(source: str, found: dict, cfg: RunConfig, fields) -> None:
                               f"the config has {getattr(cfg, name)!r}")
 
 
-def _read_split(cfg: RunConfig, path: Path):
+def _read_split(cfg: RunConfig, path: Path,
+                keep: set[str] | None = None) -> toy_predictor.SceneBlock:
+    """A split file, or its scenes with ids in `keep`, as a SceneBlock; exit
+    4 naming the file when it cannot be read or its scenes are not one block
+    of finite arrays."""
     try:
         scenes, header = read_scenes(path)
+        _match(path.name, header, cfg, ("t_obs", "t_fut"))
+        if keep is not None:
+            scenes = [s for s in scenes if s.scene_id in keep]
+            if not scenes:
+                raise MissingArtifact("preference subset is empty")
+        return toy_predictor.scene_block(scenes, cfg.t_obs, cfg.t_fut)
     except (OSError, ValueError) as e:
         raise UnreadableArtifact(f"{path}: {e}") from e
-    _match(path.name, header, cfg, ("t_obs", "t_fut"))
-    return scenes
 
 
 def _load_params(cfg: RunConfig, path: Path) -> dict:
@@ -234,25 +264,12 @@ def _load_params(cfg: RunConfig, path: Path) -> dict:
         params = toy_predictor.load_checkpoint(path)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
         raise UnreadableArtifact(f"{path}: {e}") from e
-    _match(path.name, params["_meta"], cfg, ("t_obs", "t_fut", "k", "hidden"))
+    _match(path.name, params["_meta"], cfg, MODEL)
     return params
 
 
-def _skip(path: Path, force: bool) -> bool:
-    if path.exists() and not force:
-        print(f"{path} exists; skipping (use --force to rebuild)")
-        return True
-    return False
-
-
-def cmd_gen(cfg: RunConfig, force: bool) -> int:
-    workdir = Path(cfg.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    train_path = workdir / "train.jsonl"
-    val_path = workdir / "val.jsonl"
-    if _skip(train_path, force):
-        return EXIT_OK
-    started = time.time()
+def cmd_gen(cfg: RunConfig, train_path, val_path, summary_path):
+    Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
     n_total = cfg.n_train + cfg.n_val
     try:
         scenes, manifest = scenegen.generate_dataset(
@@ -271,33 +288,23 @@ def cmd_gen(cfg: RunConfig, force: bool) -> int:
     write_scenes(val_path, val, cfg.t_obs, cfg.t_fut)
     if not val:
         print("warning: empty validation split", file=sys.stderr)
-    (workdir / "gen_summary.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    _write_manifest(workdir, "gen", cfg, [], started)
-    print(f"wrote {len(train)} train / {len(val)} val scenes to {workdir}")
-    return EXIT_OK
+    summary_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {len(train)} train / {len(val)} val scenes to {cfg.workdir}")
 
 
-def cmd_pretrain(cfg: RunConfig, force: bool) -> int:
-    workdir = Path(cfg.workdir)
-    out = workdir / "pretrained.npz"
-    if _skip(out, force):
-        return EXIT_OK
-    started = time.time()
-    train_path = _require(workdir / "train.jsonl", "gen")
-    scenes = _read_split(cfg, train_path)
+def cmd_pretrain(cfg: RunConfig, train_path, out, history_path):
+    split = _read_split(cfg, train_path)
     params = toy_predictor.init_params(cfg.t_obs, cfg.t_fut, cfg.k, cfg.seed,
                                        hidden=cfg.hidden)
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
                      batch_size=cfg.batch_size, objective="pretrain",
                      momentum=cfg.pretrain_momentum, rng_seed=cfg.seed)
     history = toy_predictor.train(
-        params, scenes, tc,
+        params, split, tc,
         log_fn=lambda ep, h: print(f"pretrain epoch {ep}: "
                                    f"loss {h['epoch_loss'][-1]:.4f}"))
     toy_predictor.save_checkpoint(out, params)
-    (workdir / "pretrain_history.json").write_text(json.dumps(history) + "\n")
-    _write_manifest(workdir, "pretrain", cfg, [train_path], started)
-    return EXIT_OK
+    history_path.write_text(json.dumps(history) + "\n")
 
 
 def _predict_joints(params, split, batch_size: int):
@@ -310,19 +317,10 @@ def _predict_joints(params, split, batch_size: int):
         yield block, aggregate_to_joint(MarginalPrediction(trajs, logits))
 
 
-def cmd_extract(cfg: RunConfig, force: bool) -> int:
-    workdir = Path(cfg.workdir)
-    out = workdir / "subset.txt"
-    if _skip(out, force):
-        return EXIT_OK
-    started = time.time()
-    train_path = _require(workdir / "train.jsonl", "gen")
-    ckpt = _require(workdir / "pretrained.npz", "pretrain")
-    split = toy_predictor.scene_block(_read_split(cfg, train_path),
-                                      cfg.t_obs, cfg.t_fut)
+def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
+    split = _read_split(cfg, train_path)
     params = _load_params(cfg, ckpt)
-    econfig = ExtractionConfig(delta=cfg.delta,
-                               collision_threshold=cfg.collision_threshold)
+    econfig = cfg.extraction()
     kept, summary = [], ExtractionSummary(0, 0, 0, 0)
     for block, joints in _predict_joints(params, split, cfg.batch_size):
         records = preference_cost(joints, block.futures, lam=cfg.lam,
@@ -332,33 +330,19 @@ def cmd_extract(cfg: RunConfig, force: bool) -> int:
         kept += chunk_kept
         summary += chunk_summary
     out.write_text("".join(sid + "\n" for sid in kept))
-    (workdir / "extract_summary.json").write_text(json.dumps({
+    summary_path.write_text(json.dumps({
         "total": summary.total, "extracted": summary.extracted,
         "fraction": summary.fraction,
         "collision_branch_count": summary.collision_branch_count,
         "spread_branch_count": summary.spread_branch_count,
     }, indent=2) + "\n")
-    _write_manifest(workdir, "extract", cfg, [train_path, ckpt], started)
     print(f"extracted {summary.extracted}/{summary.total} scenes "
           f"({summary.fraction:.1%})")
-    return EXIT_OK
 
 
-def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
-    workdir = Path(cfg.workdir)
-    suffix = "" if objective == "simpo" else "_direct"
-    out = workdir / f"finetuned{suffix}.npz"
-    if _skip(out, force):
-        return EXIT_OK
-    started = time.time()
-    train_path = _require(workdir / "train.jsonl", "gen")
-    ckpt = _require(workdir / "pretrained.npz", "pretrain")
-    subset_path = _require(workdir / "subset.txt", "extract")
-    scenes = _read_split(cfg, train_path)
-    kept = set(subset_path.read_text().split())
-    subset = [s for s in scenes if s.scene_id in kept]
-    if not subset:
-        raise MissingArtifact("preference subset is empty")
+def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
+                 history_path, objective: str = "simpo"):
+    subset = _read_split(cfg, train_path, set(subset_path.read_text().split()))
     params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
@@ -371,11 +355,7 @@ def cmd_finetune(cfg: RunConfig, force: bool, objective: str = "simpo") -> int:
             + (f" reward_gap {h['epoch_reward_gap'][-1]:.3f}"
                if h["epoch_reward_gap"] else "")))
     toy_predictor.save_checkpoint(out, params)
-    (workdir / f"finetune{suffix}_history.json").write_text(
-        json.dumps(history) + "\n")
-    _write_manifest(workdir, f"finetune{suffix}", cfg,
-                    [train_path, ckpt, subset_path], started)
-    return EXIT_OK
+    history_path.write_text(json.dumps(history) + "\n")
 
 
 def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
@@ -387,45 +367,127 @@ def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
         threshold=cfg.collision_threshold)
 
 
-def cmd_eval(cfg: RunConfig, force: bool, before: str | None,
-             after: str | None, checkpoint: str | None, tag: str) -> int:
-    if (before is None) != (after is None):
-        raise ConfigError("eval needs --before and --after together")
-    if checkpoint is not None and before is not None:
-        raise ConfigError("eval takes --checkpoint or --before/--after, "
-                          "not both")
-    workdir = Path(cfg.workdir)
-    out = workdir / f"report_{tag}.json"
-    started = time.time()
-    val_path = _require(workdir / "val.jsonl", "gen")
-    split = toy_predictor.scene_block(_read_split(cfg, val_path),
-                                      cfg.t_obs, cfg.t_fut)
-    inputs = [val_path]
-    if before is not None:
-        rb, _ = _eval_checkpoint(cfg, split, _require(Path(before), "pretrain"))
-        ra, _ = _eval_checkpoint(cfg, split, _require(Path(after), "finetune"))
+def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
+    """Report one checkpoint with per-scene rows, or compare two."""
+    *checkpoints, out = checkpoints_and_out
+    split = _read_split(cfg, val_path)
+    if len(checkpoints) == 2:
+        rb, _ = _eval_checkpoint(cfg, split, checkpoints[0])
+        ra, _ = _eval_checkpoint(cfg, split, checkpoints[1])
         payload = {"before": rb.to_dict(), "after": ra.to_dict(),
                    "comparison": eval_metrics.comparison_report(rb, ra)}
-        inputs += [Path(before), Path(after)]
         for name, row in payload["comparison"].items():
             print(f"{name:14s} {row['before']:.6f} -> {row['after']:.6f} "
                   f"({row['relative_change_percent']:+.1f}%)")
     else:
-        ckpt = Path(checkpoint) if checkpoint else workdir / "pretrained.npz"
-        report, rows = _eval_checkpoint(cfg, split, _require(ckpt, "pretrain"))
+        report, rows = _eval_checkpoint(cfg, split, checkpoints[0])
         payload = {"report": report.to_dict(),
                    "per_scene": [dataclasses.asdict(r) for r in rows]}
-        inputs.append(ckpt)
         print("\n".join(report.display_lines()))
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(workdir, f"eval_{tag}", cfg, inputs, started)
-    return EXIT_OK
+
+
+def _eval_checkpoints(cfg: RunConfig, args):
+    """The (path, stage that writes it) checkpoints eval's flags name."""
+    if (args.before is None) != (args.after is None):
+        raise ConfigError("eval needs --before and --after together")
+    if args.checkpoint is not None and args.before is not None:
+        raise ConfigError("eval takes --checkpoint or --before/--after, "
+                          "not both")
+    if args.before is not None:
+        return (Path(args.before), "pretrain"), (Path(args.after), "finetune")
+    return ((Path(args.checkpoint or Path(cfg.workdir) / "pretrained.npz"),
+             "pretrain"),)
+
+
+class Stage(NamedTuple):
+    work: Callable[..., int | None]   # work(cfg, *inputs, *outputs)
+    inputs: tuple[str, ...]    # workdir files, each an earlier stage's output
+    outputs: tuple[str, ...]   # the first one decides whether the stage ran
+    fields: tuple[str, ...]    # config fields the outputs depend on
+
+
+MODEL = ("t_obs", "t_fut", "k", "hidden")   # a checkpoint's shape
+# in pipeline order; {suffix} is finetune's objective or eval's tag
+STAGES = {
+    "gen": Stage(cmd_gen, (), ("train.jsonl", "val.jsonl", "gen_summary.json"),
+                 ("seed", "n_train", "n_val", *WEIGHTS, "num_agents",
+                  "noise_std", "t_obs", "t_fut")),
+    "pretrain": Stage(cmd_pretrain, ("train.jsonl",),
+                      ("pretrained.npz", "pretrain_history.json"),
+                      ("seed", *MODEL, "pretrain_lr", "pretrain_momentum",
+                       "pretrain_epochs", "batch_size")),
+    "extract": Stage(cmd_extract, ("train.jsonl", "pretrained.npz"),
+                     ("subset.txt", "extract_summary.json"),
+                     (*MODEL, "lam", "delta", "repeller_r", "repeller_eps",
+                      "collision_threshold")),
+    "finetune": Stage(cmd_finetune,
+                      ("train.jsonl", "pretrained.npz", "subset.txt"),
+                      ("finetuned{suffix}.npz", "finetune{suffix}_history.json"),
+                      ("seed", *MODEL, "finetune_lr", "finetune_epochs",
+                       "batch_size", "momentum", "beta", "gamma", "lam",
+                       "repeller_r", "repeller_eps")),
+    "eval": Stage(cmd_eval, ("val.jsonl",), ("report{suffix}.json",),
+                  (*MODEL, "top_n", "collision_threshold")),
+}
+MAKER = {out: name for name, stage in STAGES.items() for out in stage.outputs}
+PIPELINE = ("gen", "pretrain", "extract", "finetune")
+
+
+def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
+         checkpoints=(), **options) -> int:
+    """Run stage `name` in cfg.workdir: require its declared inputs and
+    (path, stage) `checkpoints` (exit 3 naming that stage); keep an existing
+    first output while its manifest matches (exit 2 if it does not) unless
+    --force, else do its work and write its manifest."""
+    stage, workdir = STAGES[name], Path(cfg.workdir)
+    inputs = [_require(path, maker) for path, maker in [
+        (workdir / f, MAKER[f]) for f in stage.inputs] + list(checkpoints)]
+    outputs = [workdir / f.format(suffix=suffix) for f in stage.outputs]
+    manifest = workdir / f"{name}{suffix}_manifest.json"
+    if outputs[0].exists() and not force:
+        try:
+            _check_current(manifest, cfg, stage.fields, inputs, outputs)
+        except ConfigError as e:
+            raise ConfigError(f"{outputs[0]} is stale: {e}; "
+                              "use --force to rebuild") from e
+        print(f"{outputs[0]} exists; skipping (use --force to rebuild)")
+        return EXIT_OK
+    started = time.time()
+    code = stage.work(cfg, *inputs, *outputs, **options)
+    if code is None:
+        _write_manifest(workdir, name + suffix, cfg, inputs, outputs, started)
+    return code or EXIT_OK
+
+
+def _check_current(manifest: Path, cfg: RunConfig, fields, inputs, outputs):
+    """ConfigError naming the first way the outputs differ from what the
+    manifest records: its config fields, input hashes or output hashes."""
+    if not manifest.exists():
+        raise ConfigError(f"{manifest.name} is missing")
+    recorded = _parse_json(manifest.read_text(), manifest.name)
+    keys = ("config", "input_hashes", "output_hashes")
+    if not (isinstance(recorded, dict)
+            and all(isinstance(recorded.get(key), dict) for key in keys)):
+        raise ConfigError(f"{manifest.name} does not record {', '.join(keys)}")
+    _match(manifest.name, recorded["config"], cfg, fields)
+    for path in outputs:
+        if not path.exists():
+            raise ConfigError(f"{path.name} is missing")
+    for key, paths in (("input_hashes", inputs), ("output_hashes", outputs)):
+        known, found = recorded[key], _hashes(manifest.parent, paths)
+        for name in sorted(set(known) | set(found)):
+            if known.get(name) != found.get(name):
+                raise ConfigError(f"{name} is not the file {manifest.name} "
+                                  "records")
 
 
 SWEEPABLE = ("gamma", "lam", "k")
 
 
 def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> int:
+    """Per value, rerun the pipeline from the first stage that reads
+    `param` on copies of the earlier stages' outputs, then evaluate it."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE}")
     if not values:
@@ -442,35 +504,25 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
         except ConfigError as e:
             raise ConfigError(f"ablate {param} {value:g}: {e}") from e
         subs.append(sub)
+    first = next(i for i, name in enumerate(PIPELINE)
+                 if param in STAGES[name].fields)
+    shared = [f for name in PIPELINE[:first]
+              for f in (*STAGES[name].outputs, f"{name}_manifest.json")]
     rows = []
     for value, sub in zip(values, subs):
-        Path(sub.workdir).mkdir(parents=True, exist_ok=True)
-        # share generated data; gamma/lam sweeps also share the parent's
-        # pretrained checkpoint (K changes the head count, so K re-pretrains)
-        share = ["train.jsonl", "val.jsonl"]
-        if param != "k":
-            share.append("pretrained.npz")
-        if param == "gamma":
-            share.append("subset.txt")  # extraction is gamma-independent
-        for name in share:
-            src, dst = workdir / name, Path(sub.workdir) / name
-            if name.endswith(".jsonl"):
-                _require(src, "gen")
+        subdir = Path(sub.workdir)
+        subdir.mkdir(parents=True, exist_ok=True)
+        for name in shared:
+            src, dst = workdir / name, subdir / name
             if src.exists() and not dst.exists():
                 dst.write_bytes(src.read_bytes())
-        for step in (cmd_pretrain, cmd_extract, cmd_finetune):
-            code = step(sub, force)
-            if code != EXIT_OK:
-                return code
-        split = toy_predictor.scene_block(
-            _read_split(sub, Path(sub.workdir) / "val.jsonl"),
-            sub.t_obs, sub.t_fut)
-        rb, _ = _eval_checkpoint(sub, split, Path(sub.workdir) / "pretrained.npz")
-        ra, _ = _eval_checkpoint(sub, split, Path(sub.workdir) / "finetuned.npz")
-        rows.append({param: value, "before": rb.to_dict(), "after": ra.to_dict(),
-                     "comparison": eval_metrics.comparison_report(rb, ra)})
-        print(f"{param}={value:g}: SCR {rb.scr:.4f}->{ra.scr:.4f} "
-              f"pSCR {rb.pscr:.4f}->{ra.pscr:.4f}")
+        for name in PIPELINE[1:]:   # only gen fails by exit code, not raising
+            _run(sub, force, name)
+        _run(sub, force, "eval", "_final", (
+            (subdir / "pretrained.npz", "pretrain"),
+            (subdir / "finetuned.npz", "finetune")))
+        rows.append({param: value, **json.loads(
+            (subdir / "report_final.json").read_text())})
     out = workdir / f"ablation_{param}.json"
     out.write_text(json.dumps(rows, indent=2) + "\n")
     flat = workdir / f"ablation_{param}.tsv"
@@ -483,7 +535,7 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
                     f"\t{row['after']['pscr']:.6f}"
                     f"\t{row['before']['min_joint_fde']:.6f}"
                     f"\t{row['after']['min_joint_fde']:.6f}\n")
-    _write_manifest(workdir, f"ablate_{param}", cfg, [], started)
+    _write_manifest(workdir, f"ablate_{param}", cfg, [], [out, flat], started)
     return EXIT_OK
 
 
@@ -525,26 +577,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "gen": lambda cfg, args: _run(cfg, args.force, "gen"),
+    "pretrain": lambda cfg, args: _run(cfg, args.force, "pretrain"),
+    "extract": lambda cfg, args: _run(cfg, args.force, "extract"),
+    "finetune": lambda cfg, args: _run(
+        cfg, args.force, "finetune", "" if args.objective == "simpo"
+        else "_direct", objective=args.objective),
+    "eval": lambda cfg, args: _run(cfg, args.force, "eval", f"_{args.tag}",
+                                   _eval_checkpoints(cfg, args)),
+    "ablate": lambda cfg, args: cmd_ablate(cfg, args.force, args.param,
+                                           args.values),
+    "report": lambda cfg, args: cmd_report(cfg, args.tag),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg, args.force)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, args.force)
-        if args.command == "extract":
-            return cmd_extract(cfg, args.force)
-        if args.command == "finetune":
-            return cmd_finetune(cfg, args.force, args.objective)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.force, args.before, args.after,
-                            args.checkpoint, args.tag)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.force, args.param, args.values)
-        if args.command == "report":
-            return cmd_report(cfg, args.tag)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](load_config(args), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,7 +21,6 @@ from .collision_geometry import (
 from .scene_model import JointModeSet
 
 DEFAULT_LAMBDA = 1e3
-DEFAULT_DELTA = 2.5        # cost-spread threshold; 1.0 is the easier preset
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class PreferenceRecord:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    delta: float = DEFAULT_DELTA
+    delta: float               # cost-spread threshold
     collision_threshold: float = COLLISION_THRESHOLD_M
 
     def __post_init__(self):

@@ -30,7 +30,7 @@ from .mode_aggregation import (
 )
 from .po_losses import SimPOConfig, direct_cost_loss, pl_nll_grad, pl_nll_from_logits
 from .collision_geometry import RepellerParams
-from .preference_ranking import preference_cost
+from .preference_ranking import DEFAULT_LAMBDA, preference_cost
 from .scene_model import MarginalPrediction, Scene
 from .scenegen import DT
 
@@ -43,12 +43,12 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-5
+    learning_rate: float
     epochs: int = 5
     batch_size: int = 16
     objective: str = "simpo"   # pretrain | simpo | direct-cost
     simpo: SimPOConfig = field(default_factory=SimPOConfig)
-    lam: float = 1e3
+    lam: float = DEFAULT_LAMBDA
     momentum: float = 0.0
     rng_seed: int = 0
 
@@ -127,21 +127,40 @@ def _anchors(positions: np.ndarray, velocities: np.ndarray,
 
 
 def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
-    """Scenes of one agent count and the model's horizons, as arrays."""
+    """Scenes of one agent count and the model's horizons, as arrays.
+
+    ValueError naming the scene when the list is empty, a scene's horizons
+    or agent count differ, or a coordinate, velocity or yaw is not finite.
+    """
+    if not scenes:
+        raise ValueError("no scenes")
+    first = scenes[0]
     for scene in scenes:
         if (scene.t_obs, scene.t_fut) != (t_obs, t_fut):
             raise ValueError(f"scene {scene.scene_id} horizons {scene.t_obs}/"
                              f"{scene.t_fut} != model {t_obs}/{t_fut}")
+        if scene.num_agents != first.num_agents:
+            raise ValueError(f"scene {scene.scene_id} has {scene.num_agents} "
+                             f"agents, scene {first.scene_id} has "
+                             f"{first.num_agents}")
 
     def tracks(name):
         return np.array([[getattr(agent, name) for agent in scene.agents]
                          for scene in scenes])
 
     positions, velocities = tracks("past_positions"), tracks("past_velocities")
+    yaws = tracks("past_yaws")
+    futures = np.array([scene.ground_truth_futures for scene in scenes])
+    finite = np.ones(len(scenes), dtype=bool)
+    for x in (positions, velocities, yaws, futures):
+        finite &= np.isfinite(x.reshape(len(scenes), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"scene {scenes[np.argmin(finite)].scene_id} "
+                         "has a non-finite value")
     return SceneBlock(
-        features=_features(positions, velocities, tracks("past_yaws")),
+        features=_features(positions, velocities, yaws),
         anchors=_anchors(positions, velocities, t_fut),
-        futures=np.array([scene.ground_truth_futures for scene in scenes]),
+        futures=futures,
         ids=np.array([scene.scene_id for scene in scenes], dtype=str))
 
 
@@ -285,21 +304,23 @@ def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
     return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
 
 
-def train(params: dict, scenes: list[Scene], config: TrainConfig,
-          repeller: RepellerParams | None = None,
+def train(params: dict, scenes: list[Scene] | SceneBlock,
+          config: TrainConfig, repeller: RepellerParams | None = None,
           log_fn=None) -> dict:
-    """Run one training stage in place; returns a per-epoch history dict."""
+    """Run one training stage in place on scenes or their block; returns a
+    per-epoch history dict."""
     repeller = repeller or RepellerParams()
     meta = params["_meta"]
-    block = scene_block(scenes, meta["t_obs"], meta["t_fut"])
+    block = (scenes if isinstance(scenes, SceneBlock)
+             else scene_block(scenes, meta["t_obs"], meta["t_fut"]))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed & 0xFFFFFFFF, 23]))
     history = {"epoch_loss": [], "epoch_reward_gap": []}
     velocity = None
     for epoch in range(config.epochs):
         losses, gaps = [], []
-        order = rng.permutation(len(scenes))
-        for start in range(0, len(scenes), config.batch_size):
+        order = rng.permutation(len(block.ids))
+        for start in range(0, len(block.ids), config.batch_size):
             rows = order[start:start + config.batch_size]
             batch = SceneBlock(*(arrays[rows] for arrays in block))
             if config.objective == "pretrain":

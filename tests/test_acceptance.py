@@ -11,7 +11,6 @@ execute once per session and are shared across criteria.
 """
 
 import json
-import shutil
 import time
 from pathlib import Path
 
@@ -224,31 +223,10 @@ def run_pipeline(workdir: Path) -> dict:
                "--tag", "final") == EXIT_OK
     core_time = time.time() - t0
 
-    # gamma = 0 variant: shares data, pretrain and subset with the main run
-    g0 = workdir / "gamma0"
-    g0.mkdir(exist_ok=True)
-    for name in ("train.jsonl", "val.jsonl", "pretrained.npz", "subset.txt"):
-        shutil.copyfile(workdir / name, g0 / name)
-    g0_sets = [("gamma", "0")]
-    assert cli(g0, "finetune", sets=g0_sets) == EXIT_OK
-    assert cli(g0, "eval",
-               "--before", str(g0 / "pretrained.npz"),
-               "--after", str(g0 / "finetuned.npz"),
-               "--tag", "final", sets=g0_sets) == EXIT_OK
-
-    # K = 12 oversampling variant: shares only the generated scenes
-    k12 = workdir / "k12"
-    k12.mkdir(exist_ok=True)
-    for name in ("train.jsonl", "val.jsonl"):
-        shutil.copyfile(workdir / name, k12 / name)
-    k12_sets = [("k", "12")]
-    assert cli(k12, "pretrain", sets=k12_sets) == EXIT_OK
-    assert cli(k12, "extract", sets=k12_sets) == EXIT_OK
-    assert cli(k12, "finetune", sets=k12_sets) == EXIT_OK
-    assert cli(k12, "eval",
-               "--before", str(k12 / "pretrained.npz"),
-               "--after", str(k12 / "finetuned.npz"),
-               "--tag", "final", sets=k12_sets) == EXIT_OK
+    # gamma = 0 reruns finetune on the main run's data, pretrain and subset;
+    # K = 12 reruns pretrain onward on its data
+    assert cli(workdir, "ablate", "gamma", "0") == EXIT_OK
+    assert cli(workdir, "ablate", "k", "12") == EXIT_OK
 
     # direct-cost baseline at 5x the fine-tuning step budget
     direct_sets = [("finetune_epochs", "25")]
@@ -263,8 +241,8 @@ def run_pipeline(workdir: Path) -> dict:
 REPORT_FILES = [
     "report_final.json",
     "finetune_history.json",
-    "gamma0/report_final.json",
-    "k12/report_final.json",
+    "ablate_gamma_0/report_final.json",
+    "ablate_k_12/report_final.json",
     "direct_realism.json",
 ]
 
@@ -306,7 +284,7 @@ def test_criterion_5_reward_margin_growth(runs):
 
 def test_criterion_6_gamma_ablation_direction(runs):
     g5 = load_comparison(runs["a"])
-    g0 = load_comparison(runs["a"] / "gamma0")
+    g0 = load_comparison(runs["a"] / "ablate_gamma_0")
     pscr_after_g5 = g5["after"]["pscr"]
     pscr_after_g0 = g0["after"]["pscr"]
     scr_rel_g5 = g5["comparison"]["scr"]["relative_change_percent"]
@@ -320,7 +298,7 @@ def test_criterion_6_gamma_ablation_direction(runs):
 
 def test_criterion_7_oversampling_trend(runs):
     k6 = load_comparison(runs["a"])["comparison"]["scr"]
-    k12 = load_comparison(runs["a"] / "k12")["comparison"]["scr"]
+    k12 = load_comparison(runs["a"] / "ablate_k_12")["comparison"]["scr"]
     # larger improvement = more negative relative change
     ok = k12["relative_change_percent"] <= k6["relative_change_percent"]
     report(7, ok,

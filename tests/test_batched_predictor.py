@@ -200,7 +200,8 @@ def batch_ref(params, scenes, scene_fn):
 # the comparison
 # ---------------------------------------------------------------------------
 
-CONFIG = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0, gamma=5.0))
+CONFIG = TrainConfig(learning_rate=1e-5, objective="simpo",
+                     simpo=SimPOConfig(beta=2.0, gamma=5.0))
 REPELLER = RepellerParams()
 OBJECTIVES = {
     "pretrain": (pretrain_ref, lambda p, b: (*pretrain_scene_loss(p, b), None)),

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
+from jointpref import cli
 from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
     EXIT_OK,
     EXIT_VALIDATION,
+    STAGES,
     RunConfig,
     main,
 )
@@ -21,11 +24,11 @@ FAST = [
 ]
 
 
-def run(tmp_path, command, *extra, sets=()):
+def run(tmp_path, command, *extra, sets=(), force=False):
     argv = []
     for key, value in list(FAST) + [("workdir", str(tmp_path))] + list(sets):
         argv += ["--set", key, value]
-    argv.append(command)
+    argv += ["--force", command] if force else [command]
     argv += list(extra)
     return main(argv)
 
@@ -67,6 +70,9 @@ class TestConfig:
         [("num_agents", "7")],            # the parameter dataclasses' checks
         [("crossing_weight", "-1")],      # 0 leaves a kind out; below is wrong
         [("beta", "0")],
+        [("delta", "-1")],                # the extraction config's checks
+        [("collision_threshold", "0")],
+        [("n_val", "-3")],
     ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
     def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
         assert run(tmp_path, "gen", sets=sets) == EXIT_CONFIG
@@ -193,6 +199,134 @@ class TestPipeline:
         assert (d1 / "val.jsonl").read_bytes() == (d2 / "val.jsonl").read_bytes()
 
 
+class TestStale:
+    """An existing output is reused only while its stage's manifest records
+    the same declared fields, inputs and outputs; otherwise exit 2."""
+
+    def test_extract_at_other_delta(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract", sets=[("delta", "2.5")]) == EXIT_OK
+        subset = (workdir / "subset.txt").read_bytes()
+        assert run(workdir, "extract", sets=[("delta", "1000")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "subset.txt is stale: delta: extract_manifest.json has 2.5" in err
+        assert (workdir / "subset.txt").read_bytes() == subset
+
+    def test_gen_at_other_size(self, tmp_path, capsys):
+        assert run(tmp_path, "gen") == EXIT_OK
+        assert run(tmp_path, "gen", sets=[("n_train", "20")]) == EXIT_CONFIG
+        assert "n_train: gen_manifest.json has 40" in capsys.readouterr().err
+        assert len((tmp_path / "train.jsonl").read_text().splitlines()) == 41
+
+    def test_truncated_output(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        ckpt = workdir / "pretrained.npz"
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        assert run(workdir, "pretrain") == EXIT_CONFIG
+        assert ("pretrained.npz is not the file pretrain_manifest.json records"
+                in capsys.readouterr().err)
+        assert run(workdir, "pretrain", force=True) == EXIT_OK
+        assert ckpt.read_bytes() == (pretrained / "pretrained.npz").read_bytes()
+
+    def test_changed_input(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        assert run(workdir, "pretrain", sets=[("pretrain_epochs", "1")],
+                   force=True) == EXIT_OK
+        assert run(workdir, "extract") == EXIT_CONFIG
+        assert ("pretrained.npz is not the file extract_manifest.json records"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda path: path.unlink(), "is missing"),
+        (lambda path: path.write_text("[]"), "does not record"),
+        (lambda path: path.write_text(json.dumps(   # an older manifest
+            {key: value for key, value in json.loads(path.read_text()).items()
+             if key != "output_hashes"})), "does not record"),
+    ], ids=["missing", "not-an-object", "no-output-hashes"])
+    def test_unusable_manifest(self, pretrained, tmp_path, capsys, edit, named):
+        workdir = copy_run(pretrained, tmp_path)
+        edit(workdir / "pretrain_manifest.json")
+        assert run(workdir, "pretrain") == EXIT_CONFIG
+        assert f"pretrain_manifest.json {named}" in capsys.readouterr().err
+
+    def test_matching_rerun_skips(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        for stage in ("gen", "pretrain", "extract", "finetune"):
+            assert run(workdir, stage) == EXIT_OK
+        capsys.readouterr()
+        # batch_size is not a field of gen's outputs
+        for stage in ("gen", "pretrain", "extract", "finetune"):
+            assert run(workdir, stage) == EXIT_OK
+        assert run(workdir, "gen", sets=[("batch_size", "7")]) == EXIT_OK
+        assert capsys.readouterr().out.count("skipping") == 5
+        manifest = json.loads((workdir / "extract_manifest.json").read_text())
+        assert set(manifest["output_hashes"]) == {"subset.txt",
+                                                  "extract_summary.json"}
+
+    def test_eval_of_two_runs_checkpoints(self, pretrained, tmp_path, capsys):
+        # both checkpoints are named pretrained.npz; each is checked
+        workdir, other = copy_run(pretrained, tmp_path), tmp_path / "other"
+        shutil.copytree(pretrained, other)
+        assert run(other, "pretrain", sets=[("pretrain_epochs", "1")],
+                   force=True) == EXIT_OK
+        flags = ["--before", str(workdir / "pretrained.npz"),
+                 "--after", str(other / "pretrained.npz"), "--tag", "ab"]
+        assert run(workdir, "eval", *flags) == EXIT_OK
+        assert run(workdir, "eval", *flags) == EXIT_OK
+        assert "skipping" in capsys.readouterr().out
+        flags[1] = str(other / "pretrained.npz")
+        assert run(workdir, "eval", *flags) == EXIT_CONFIG
+        assert "is not the file eval_ab_manifest.json records" in \
+            capsys.readouterr().err
+
+
+class RecordingConfig(RunConfig):
+    """A RunConfig that records which of its fields are read."""
+
+    def __getattribute__(self, name):
+        if name in FIELDS:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen"], ["pretrain"], ["extract"], ["finetune"],
+    ["finetune", "--objective", "direct-cost"],
+    ["eval", "--tag", "x"],
+    ["eval", "--before", "{wd}/pretrained.npz", "--after",
+     "{wd}/finetuned.npz"],
+], ids=lambda argv: "-".join(a for a in argv if "/" not in a))
+def test_stage_reads_only_its_declared_fields(pretrained, tmp_path,
+                                              monkeypatch, argv):
+    """A field a stage reads but does not declare would let a rerun with a
+    different value reuse the old output."""
+    workdir = copy_run(pretrained, tmp_path)
+    for stage in ("extract", "finetune"):
+        assert run(workdir, stage) == EXIT_OK
+    load_config = cli.load_config
+    recorder = []
+
+    def recording(args):
+        cfg = RecordingConfig(**dataclasses.asdict(load_config(args)))
+        cfg.reads = set()
+        recorder.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    monkeypatch.setattr(cli, "_write_manifest", lambda *args: None)
+    argv = [a.format(wd=workdir) for a in argv]
+    assert run(workdir, *argv, force=True) == EXIT_OK
+    # batch_size only sets the chunks of extract's and eval's forwards,
+    # whose bytes test_extract_and_eval_bytes_independent_of_chunk_size fixes
+    chunked = {"batch_size"} if argv[0] in ("extract", "eval") else set()
+    reads = recorder[0].reads - {"workdir"} - chunked
+    assert reads == set(STAGES[argv[0]].fields)
+
+
 class TestDefaultExtraction:
     def test_fraction_in_band_on_default_data(self, tmp_path):
         # full-scale run on the default configuration (several minutes):
@@ -205,6 +339,20 @@ class TestDefaultExtraction:
 
 
 class TestAblate:
+    def test_lam_sweep_reruns_from_extract(self, pretrained, tmp_path):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        assert run(workdir, "ablate", "lam", "10") == EXIT_OK
+        sub = workdir / "ablate_lam_10"
+        for name in ("train.jsonl", "pretrained.npz", "pretrain_manifest.json"):
+            assert (sub / name).read_bytes() == (workdir / name).read_bytes()
+        manifest = json.loads((sub / "extract_manifest.json").read_text())
+        assert manifest["config"]["lam"] == 10.0
+        (row,) = json.loads((workdir / "ablation_lam.json").read_text())
+        report = json.loads((sub / "report_final.json").read_text())
+        assert row == {"lam": 10.0, **report}
+
+
     def test_invalid_param_rejected(self, tmp_path):
         # argparse enforces the choices and exits with its own code
         with pytest.raises(SystemExit):
@@ -305,6 +453,35 @@ class TestMisuse:
         assert run(workdir, "eval", "--tag", "x") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert str(val) in err and "line 2" in err
+        assert not (workdir / "report_x.json").exists()
+
+    def test_empty_split_names_it(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "gen", sets=[("n_val", "0")], force=True) == EXIT_OK
+        assert run(workdir, "eval", "--tag", "x") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(workdir / "val.jsonl") in err and "no scenes" in err
+        assert not (workdir / "report_x.json").exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda rec: rec["agents"][1]["past_positions"][4].__setitem__(
+            0, float("nan")), "has a non-finite value"),
+        (lambda rec: rec.update(agents=rec["agents"][:1],
+                                futures=rec["futures"][:1]),
+         "has 1 agents"),
+    ], ids=["nan", "one-agent"])
+    def test_malformed_scene_names_it(self, pretrained, tmp_path, capsys,
+                                      edit, named):
+        workdir = copy_run(pretrained, tmp_path)
+        val = workdir / "val.jsonl"
+        lines = val.read_text().splitlines()
+        rec = json.loads(lines[3])
+        edit(rec)
+        lines[3] = json.dumps(rec)
+        val.write_text("\n".join(lines) + "\n")
+        assert run(workdir, "eval", "--tag", "x") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(val) in err and f"scene {rec['scene_id']} {named}" in err
         assert not (workdir / "report_x.json").exists()
 
     def test_garbage_checkpoint_names_it(self, pretrained, tmp_path, capsys):

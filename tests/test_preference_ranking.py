@@ -210,4 +210,4 @@ def test_extraction_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(delta=-1.0)
     with pytest.raises(ValueError):
-        ExtractionConfig(collision_threshold=0.0)
+        ExtractionConfig(delta=2.5, collision_threshold=0.0)

@@ -221,7 +221,8 @@ def test_stack_length_must_match_scene_list():
     joint = aggregate_to_joint(MarginalPrediction(trajs, logits))
     rec = preference_cost(joint, gt, repeller_params=PARAMS)
     with pytest.raises(ValueError, match="2 ids"):
-        extract_preference_subset(["a", "b"], joint, rec, ExtractionConfig())
+        extract_preference_subset(["a", "b"], joint, rec,
+                                  ExtractionConfig(delta=2.5))
     one = JointModeSet(joint.modes[:1], joint.scene_logits[:1],
                        joint.scene_probs[:1])
     with pytest.raises(ValueError, match="4 predictions for 3 scenes"):

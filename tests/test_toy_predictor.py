@@ -171,7 +171,8 @@ class TestTranslationInvariance:
 
 
 def check_block_gradients(params, blk):
-    cfg = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0, gamma=5.0))
+    cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
+                      simpo=SimPOConfig(beta=2.0, gamma=5.0))
     rep = RepellerParams()
     for loss_fn in (lambda p: pretrain_scene_loss(p, blk),
                     lambda p: simpo_scene_loss(p, blk, cfg, rep),
@@ -186,8 +187,8 @@ class TestGradients:
                  tol=1e-4)
 
     def test_simpo_gradients(self, params, scenes):
-        cfg = TrainConfig(objective="simpo", simpo=SimPOConfig(beta=2.0,
-                                                               gamma=5.0))
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
+                          simpo=SimPOConfig(beta=2.0, gamma=5.0))
         rep = RepellerParams()
 
         def loss_fn(p):
@@ -284,7 +285,7 @@ class TestTraining:
 
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=3)
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(objective="simpo")
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
         rep = RepellerParams()
 
         joint_before = aggregate_to_joint(predict(params, scene))
@@ -302,9 +303,9 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+            TrainConfig(learning_rate=1e-5, epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(objective="adversarial")
+            TrainConfig(learning_rate=1e-5, objective="adversarial")
 
 
 class TestLogitHeadIsolation:
@@ -313,7 +314,7 @@ class TestLogitHeadIsolation:
         # parameters; updating just the logit head must change probabilities
         # while keeping every trajectory bit-identical
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(objective="simpo")
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
         rep = RepellerParams()
         before = [predict(params, s) for s in scenes]
         for _ in range(20):
