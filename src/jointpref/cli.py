@@ -1,10 +1,11 @@
 """Pipeline CLI: gen, pretrain, extract, finetune, eval, ablate, report.
 
 Every stage writes its artifacts plus a manifest (merged config, seed,
-content hashes of inputs and outputs, wall time), and reuses existing
-artifacts only while that manifest still matches. Exit codes: 0 success,
-2 config error or stale artifact, 3 missing upstream artifact, 4
-validation failure or unreadable input file.
+content hashes of inputs and outputs, wall time, the process's peak
+memory), and reuses existing artifacts only while that manifest still
+matches. Exit codes: 0 success, 2 config error or stale artifact, 3
+missing upstream artifact, 4 validation failure, unreadable input file or
+diverged training (no checkpoint, history or manifest is written).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 import zipfile
@@ -39,6 +41,7 @@ from .preference_ranking import (
 )
 from .scene_model import (
     MarginalPrediction,
+    NonFiniteError,
     read_scenes,
     validate_scene,
     write_scenes,
@@ -223,6 +226,9 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
         "input_hashes": _hashes(workdir, inputs),
         "output_hashes": _hashes(workdir, outputs),
         "wall_time_s": round(time.time() - started, 3),
+        # the whole process's peak so far: stages run in one process share it
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     (workdir / f"{step}_manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n")
@@ -299,10 +305,21 @@ def cmd_pretrain(cfg: RunConfig, train_path, out, history_path):
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
                      batch_size=cfg.batch_size, objective="pretrain",
                      momentum=cfg.pretrain_momentum, rng_seed=cfg.seed)
-    history = toy_predictor.train(
-        params, split, tc,
+    return _train(
+        "pretrain", params, split, tc, out, history_path,
         log_fn=lambda ep, h: print(f"pretrain epoch {ep}: "
                                    f"loss {h['epoch_loss'][-1]:.4f}"))
+
+
+def _train(stage: str, params, split, tc: TrainConfig, out, history_path,
+           **options):
+    """Train, then save the checkpoint and history; exit 4 naming the stage
+    and epoch, with nothing saved, when training diverges."""
+    try:
+        history = toy_predictor.train(params, split, tc, **options)
+    except NonFiniteError as e:
+        print(f"{stage} diverged at {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     toy_predictor.save_checkpoint(out, params)
     history_path.write_text(json.dumps(history) + "\n")
 
@@ -348,14 +365,13 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
                      batch_size=cfg.batch_size, objective=objective,
                      simpo=cfg.simpo(), lam=cfg.lam, momentum=cfg.momentum,
                      rng_seed=cfg.seed)
-    history = toy_predictor.train(
-        params, subset, tc, repeller=cfg.repeller(),
+    return _train(
+        f"finetune[{objective}]", params, subset, tc, out, history_path,
+        repeller=cfg.repeller(),
         log_fn=lambda ep, h: print(
             f"finetune[{objective}] epoch {ep}: loss {h['epoch_loss'][-1]:.4f}"
             + (f" reward_gap {h['epoch_reward_gap'][-1]:.3f}"
                if h["epoch_reward_gap"] else "")))
-    toy_predictor.save_checkpoint(out, params)
-    history_path.write_text(json.dumps(history) + "\n")
 
 
 def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):

@@ -20,6 +20,10 @@ class SceneFileError(ValueError):
     """Raised when a scene file cannot be parsed."""
 
 
+class NonFiniteError(ValueError):
+    """A logit, loss or parameter that must be finite is not."""
+
+
 @dataclass(frozen=True)
 class AgentTrack:
     """Observed history of a single agent: positions, velocities and yaws.
@@ -88,7 +92,7 @@ class MarginalPrediction:
             raise ValueError(f"agent/mode shape mismatch: trajectories "
                              f"{trajs.shape}, logits {logits.shape}")
         if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
+            raise NonFiniteError("logits must be finite")
         trajs.setflags(write=False)
         logits.setflags(write=False)
         object.__setattr__(self, "trajectories", trajs)
@@ -117,7 +121,7 @@ class JointModeSet:
         logits = np.ascontiguousarray(self.scene_logits, dtype=np.float64)
         probs = np.ascontiguousarray(self.scene_probs, dtype=np.float64)
         if not np.all(np.isfinite(logits)):
-            raise ValueError("scene logits must be finite")
+            raise NonFiniteError("scene logits must be finite")
         if np.any((abs(probs.sum(axis=-1, keepdims=True) - 1.0) > 1e-9)
                   | (probs < 0) | (probs > 1)):
             raise ValueError("scene_probs must be a distribution")

@@ -31,7 +31,7 @@ from .mode_aggregation import (
 from .po_losses import SimPOConfig, direct_cost_loss, pl_nll_grad, pl_nll_from_logits
 from .collision_geometry import RepellerParams
 from .preference_ranking import DEFAULT_LAMBDA, preference_cost
-from .scene_model import MarginalPrediction, Scene
+from .scene_model import MarginalPrediction, NonFiniteError, Scene
 from .scenegen import DT
 
 HIDDEN = 64
@@ -181,7 +181,7 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
         *offsets.shape[:3], -1, 2)                         # (B, A, K, T, 2)
     logits = z @ params["Wl"] + params["bl"]               # (B, A, K)
     if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
+        raise NonFiniteError("logits must be finite")
     if not cache:
         return trajs, logits
     return trajs, logits, (f, h1, e, m, s, z)
@@ -189,7 +189,9 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
 
 def backward(params: dict, cache: tuple, d_logits: np.ndarray,
              d_trajs: np.ndarray | None) -> dict:
-    """Batch-mean parameter gradients of a block's logit/trajectory gradients.
+    """Batch-mean gradients of the parameters a block's logit/trajectory
+    gradients reach: all ten, or all but Wtraj and btraj when d_trajs is
+    None (their gradient would be exactly zero).
 
     Each (B, ...) stack of per-scene gradients is summed in scene order as
     soon as it is made, so one stack is alive at a time."""
@@ -225,13 +227,25 @@ def backward(params: dict, cache: tuple, d_logits: np.ndarray,
 def _accumulate(params: dict, sums: dict, z: np.ndarray,
                 d_off: np.ndarray | None) -> dict:
     """Batch mean of a block's gradients: sums holds the in-order scene sums
-    of all but Wtraj, whose per-scene z[b]^T d_off[b] are added a scene at a
-    time (their (B, K, 2H, O) stack would set the step's peak memory)."""
-    mean = {key: np.zeros_like(params[key]) for key in ("Wtraj", "btraj")}
-    mean.update(sums)
+    of all but Wtraj, whose sum over scenes b of z[b]^T d_off[b] is made
+    here from the live part of d_off only. Per mode, only the scenes with a
+    nonzero d_off slice and, among them, the offset columns with a nonzero
+    entry are contracted: under winner-takes-all most slices are dead, and
+    the direct-cost gradient touches few columns. One einsum adds each
+    scene's agents in order, as a per-scene einsum does, and the scenes
+    are then summed in order onto +0. The bits equal the sum over every
+    slice and column: a dead one's term is +0, and adding +0 to a sum that
+    started at +0 leaves it unchanged."""
+    mean = dict(sums)
     if d_off is not None:
-        for z_b, d_b in zip(z, d_off):
-            mean["Wtraj"] += np.einsum("ac,ako->kco", z_b, d_b)
+        mean["Wtraj"] = np.zeros_like(params["Wtraj"])
+        live = d_off.any(axis=(1, 3))                      # (B, K)
+        for k in np.flatnonzero(live.any(axis=0)):
+            d_k = d_off[live[:, k], :, k]                  # (live B, A, O)
+            cols = np.flatnonzero(d_k.any(axis=(0, 1)))
+            # (live B, live O, 2H): the longer 2H axis runs innermost
+            mean["Wtraj"][k][:, cols] += np.einsum(
+                "bao,bac->boc", d_k[:, :, cols], z[live[:, k]]).sum(axis=0).T
     for grad in mean.values():
         grad /= len(z)
     return mean
@@ -239,15 +253,18 @@ def _accumulate(params: dict, sums: dict, z: np.ndarray,
 
 def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
              velocity: dict | None = None) -> dict | None:
-    """In-place SGD update; returns the updated velocity state when used."""
+    """In-place SGD update of the parameters in grads; returns the updated
+    velocity state when used. A parameter missing from grads keeps its value
+    and its velocity: a loss leaves out only a parameter it never reaches,
+    so over a stage this equals a zero update of a zero velocity."""
     if momentum > 0:
         if velocity is None:
             velocity = zero_grads(params)
-        for key in PARAM_KEYS:
+        for key in grads:
             velocity[key] = momentum * velocity[key] + grads[key]
             params[key] = params[key] - lr * velocity[key]
         return velocity
-    for key in PARAM_KEYS:
+    for key in grads:
         params[key] = params[key] - lr * grads[key]
     return velocity
 
@@ -308,7 +325,11 @@ def train(params: dict, scenes: list[Scene] | SceneBlock,
           config: TrainConfig, repeller: RepellerParams | None = None,
           log_fn=None) -> dict:
     """Run one training stage in place on scenes or their block; returns a
-    per-epoch history dict."""
+    per-epoch history dict.
+
+    NonFiniteError naming the epoch when a step meets a non-finite logit,
+    an epoch's mean loss is not finite, or a parameter is not finite at the
+    end; the checks add no work per step."""
     repeller = repeller or RepellerParams()
     meta = params["_meta"]
     block = (scenes if isinstance(scenes, SceneBlock)
@@ -320,27 +341,37 @@ def train(params: dict, scenes: list[Scene] | SceneBlock,
     for epoch in range(config.epochs):
         losses, gaps = [], []
         order = rng.permutation(len(block.ids))
-        for start in range(0, len(block.ids), config.batch_size):
-            rows = order[start:start + config.batch_size]
-            batch = SceneBlock(*(arrays[rows] for arrays in block))
-            if config.objective == "pretrain":
-                scene_losses, grads = pretrain_scene_loss(params, batch)
-            elif config.objective == "simpo":
-                scene_losses, grads, scene_gaps = simpo_scene_loss(
-                    params, batch, config, repeller)
-                gaps.extend(scene_gaps)
-            else:
-                scene_losses, grads = direct_scene_loss(params, batch,
-                                                        config.lam, repeller)
-            velocity = sgd_step(params, grads, config.learning_rate,
-                                config.momentum, velocity)
-            # scenes summed in order: np.sum adds 8 or more pairwise
-            losses.append(np.cumsum(scene_losses)[-1] / len(rows))
-        history["epoch_loss"].append(float(np.mean(losses)))
+        try:
+            for start in range(0, len(block.ids), config.batch_size):
+                rows = order[start:start + config.batch_size]
+                batch = SceneBlock(*(arrays[rows] for arrays in block))
+                if config.objective == "pretrain":
+                    scene_losses, grads = pretrain_scene_loss(params, batch)
+                elif config.objective == "simpo":
+                    scene_losses, grads, scene_gaps = simpo_scene_loss(
+                        params, batch, config, repeller)
+                    gaps.extend(scene_gaps)
+                else:
+                    scene_losses, grads = direct_scene_loss(
+                        params, batch, config.lam, repeller)
+                velocity = sgd_step(params, grads, config.learning_rate,
+                                    config.momentum, velocity)
+                # scenes summed in order: np.sum adds 8 or more pairwise
+                losses.append(np.cumsum(scene_losses)[-1] / len(rows))
+        except NonFiniteError as e:
+            raise NonFiniteError(f"epoch {epoch}: {e}") from e
+        epoch_loss = float(np.mean(losses))
+        if not np.isfinite(epoch_loss):
+            raise NonFiniteError(f"epoch {epoch}: loss {epoch_loss}")
+        history["epoch_loss"].append(epoch_loss)
         if gaps:
             history["epoch_reward_gap"].append(float(np.mean(gaps)))
         if log_fn:
             log_fn(epoch, history)
+    for key in PARAM_KEYS:
+        if not np.isfinite(params[key]).all():
+            raise NonFiniteError(f"epoch {config.epochs - 1}: {key} is not "
+                                 "finite")
     return history
 
 

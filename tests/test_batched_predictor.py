@@ -3,7 +3,9 @@
 The reference functions below are the predictor's former one-scene-at-a-time
 forward, backward and training losses. A block of B scenes must give each
 scene's loss and reward gap, and the batch-mean gradient summed in scene
-order, bit for bit, at the default BLAS thread count and at one thread.
+order, bit for bit, at the default BLAS thread count and at one thread. A
+parameter the block's gradients leave out must have a +0 reference
+gradient.
 """
 
 import os
@@ -35,13 +37,17 @@ from jointpref.toy_predictor import (
     PARAM_KEYS,
     POS_SCALE,
     VEL_SCALE,
+    SceneBlock,
     TrainConfig,
+    backward,
     direct_scene_loss,
+    feature_dim,
     forward,
     init_params,
     pretrain_scene_loss,
     scene_block,
     simpo_scene_loss,
+    train,
     zero_grads,
 )
 
@@ -234,7 +240,10 @@ def mismatches(objective, b, k):
     ref_losses, ref_grads, ref_gaps = batch_ref(params, scenes, ref_fn)
     losses, grads, gaps = batched_fn(params, scene_block(scenes, T_OBS, T_FUT))
     bad = [key for key in PARAM_KEYS
-           if grads[key].tobytes() != ref_grads[key].tobytes()]
+           if grads.get(key, np.zeros_like(params[key])).tobytes()
+           != ref_grads[key].tobytes()]
+    if objective != "simpo" and sorted(grads) != sorted(PARAM_KEYS):
+        bad.append("keys")
     if np.asarray(losses).tobytes() != np.asarray(ref_losses).tobytes():
         bad.append("losses")
     if gaps is not None and gaps.tobytes() != np.asarray(ref_gaps).tobytes():
@@ -270,3 +279,114 @@ def test_forward_matches_reference_over_a_split():
         pred, _ = forward_ref(params, scene)
         assert t.tobytes() == pred.trajectories.tobytes()
         assert l.tobytes() == pred.logits.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# backward on synthetic blocks: shared, absent and all-zero winning modes
+# ---------------------------------------------------------------------------
+
+def synthetic_block(b, a, seed):
+    rng = np.random.default_rng(seed)
+    shape = (b, a, T_FUT, 2)
+    return SceneBlock(
+        features=rng.standard_normal((b, a, feature_dim(T_OBS))),
+        anchors=rng.standard_normal(shape), futures=rng.standard_normal(shape),
+        ids=np.array([f"s{i}" for i in range(b)]))
+
+
+def winner_grads(winners, k, seed):
+    """(B, A, K, T, 2) trajectory gradient that is nonzero only on each
+    agent's winning mode, with some of those entries -0."""
+    b, a = winners.shape
+    rng = np.random.default_rng(seed)
+    d_trajs = np.zeros((b, a, k, T_FUT, 2))
+    rows, agents = np.indices((b, a))
+    live = rng.standard_normal((b, a, T_FUT, 2))
+    live[rng.random(live.shape) < 0.2] = -0.0
+    d_trajs[rows, agents, winners] = live
+    return d_trajs
+
+
+def backward_and_reference(params, block, d_trajs):
+    """backward's gradients on a block, and the per-scene reference's summed
+    in scene order."""
+    _, logits, cache = forward(params, block, cache=True)
+    d_logits = softmax(logits) / logits.shape[1]
+    grads = backward(params, cache, d_logits, d_trajs)
+    total = zero_grads(params)
+    for b in range(len(block.ids)):
+        f, h1, e, m, s, z = (x[b] for x in cache)
+        scene = backward_ref(params, {"f": f, "h1": h1, "e": e, "m": m, "s": s,
+                                      "z": z, "a": z.shape[0]},
+                             d_logits[b], d_trajs[b])
+        for key in PARAM_KEYS:
+            total[key] += scene[key]
+    for key in PARAM_KEYS:
+        total[key] /= len(block.ids)
+    return grads, total
+
+
+def assert_bits_equal(grads, ref):
+    assert sorted(grads) == sorted(PARAM_KEYS)
+    assert [key for key in PARAM_KEYS
+            if grads[key].tobytes() != ref[key].tobytes()] == []
+
+
+@pytest.mark.parametrize("a", [3, 4])
+@pytest.mark.parametrize("k", [6, 12])
+def test_agents_sharing_a_winning_mode(a, k):
+    params = make_params(k)
+    rng = np.random.default_rng(a * k)
+    winners = rng.integers(0, k, (16, a))
+    winners[:, 1] = winners[:, 0]
+    grads, ref = backward_and_reference(params, synthetic_block(16, a, k),
+                                        winner_grads(winners, k, seed=a))
+    assert_bits_equal(grads, ref)
+
+
+@pytest.mark.parametrize("b", [1, 8, 16])
+def test_a_mode_that_wins_in_no_scene(b):
+    k = 6
+    params = make_params(k)
+    winners = np.random.default_rng(b).integers(0, k - 1, (b, 2))
+    grads, ref = backward_and_reference(params, synthetic_block(b, 2, b),
+                                        winner_grads(winners, k, seed=b))
+    assert_bits_equal(grads, ref)
+    assert grads["Wtraj"][k - 1].tobytes() == bytes(grads["Wtraj"][k - 1].nbytes)
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_offset_columns_with_no_gradient(k):
+    """Every mode is live, as under the direct cost, but each scene's
+    gradient touches only some offset columns; some entries are -0."""
+    params = make_params(k)
+    rng = np.random.default_rng(k)
+    d_trajs = rng.standard_normal((16, 2, k, T_FUT, 2))
+    d_trajs[np.broadcast_to(rng.random((16, 1, 1, T_FUT, 2)) < 0.8,
+                            d_trajs.shape)] = 0.0
+    d_trajs[rng.random(d_trajs.shape) < 0.1] = -0.0
+    grads, ref = backward_and_reference(params, synthetic_block(16, 2, k),
+                                        d_trajs)
+    assert_bits_equal(grads, ref)
+
+
+def test_all_zero_trajectory_gradient_gives_positive_zeros():
+    params = make_params(6)
+    block = synthetic_block(16, 2, 0)
+    grads, ref = backward_and_reference(params, block,
+                                        np.zeros((16, 2, 6, T_FUT, 2)))
+    assert_bits_equal(grads, ref)
+    for key in ("Wtraj", "btraj"):   # +0 is the all-zero bit pattern
+        assert grads[key].tobytes() == bytes(grads[key].nbytes)
+
+
+def test_simpo_with_momentum_leaves_trajectory_head_untouched():
+    params = make_params(6)
+    frozen = {key: params[key].tobytes() for key in ("Wtraj", "btraj")}
+    trunk = params["W1"].copy()
+    config = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4,
+                         objective="simpo", momentum=0.9,
+                         simpo=SimPOConfig(beta=2.0, gamma=5.0))
+    train(params, make_scenes(8), config)
+    assert {key: params[key].tobytes() for key in frozen} == frozen
+    assert not np.array_equal(params["W1"], trunk)

@@ -162,6 +162,7 @@ class TestPipeline:
         assert "train.jsonl" in manifest["input_hashes"]
         assert len(manifest["input_hashes"]["train.jsonl"]) == 64
         assert manifest["wall_time_s"] >= 0
+        assert manifest["peak_rss_mb"] > 0
         assert manifest["config_hash"]
         assert manifest["config"]["n_train"] == 40
 
@@ -491,6 +492,34 @@ class TestMisuse:
         assert run(workdir, "extract") == EXIT_VALIDATION
         assert str(ckpt) in capsys.readouterr().err
         assert not (workdir / "subset.txt").exists()
+
+
+class TestDiverged:
+    """A training stage whose loss or logits stop being finite exits 4,
+    naming the stage and epoch, and writes no checkpoint, history or
+    manifest."""
+
+    def test_pretrain_with_non_finite_logits(self, tmp_path, capsys):
+        assert run(tmp_path, "gen") == EXIT_OK
+        assert run(tmp_path, "pretrain",
+                   sets=[("pretrain_lr", "1e300")]) == EXIT_VALIDATION
+        assert "pretrain diverged at epoch 0: logits must be finite" in \
+            capsys.readouterr().err
+        for name in ("pretrained.npz", "pretrain_history.json",
+                     "pretrain_manifest.json"):
+            assert not (tmp_path / name).exists()
+
+    def test_direct_cost_with_infinite_loss(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        assert run(workdir, "finetune", "--objective", "direct-cost",
+                   sets=[("finetune_lr", "1e300"), ("finetune_epochs", "3")]
+                   ) == EXIT_VALIDATION
+        assert "finetune[direct-cost] diverged at epoch 1: loss inf" in \
+            capsys.readouterr().err
+        for name in ("finetuned_direct.npz", "finetune_direct_history.json",
+                     "finetune_direct_manifest.json"):
+            assert not (workdir / name).exists()
 
 
 def test_extract_and_eval_bytes_independent_of_chunk_size(pretrained, tmp_path):

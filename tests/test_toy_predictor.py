@@ -94,8 +94,9 @@ def fd_check(params, scenes, loss_fn, tol, rng_seed=0, n_probes=12, h=1e-6):
         lp, _ = loss_fn(pp)
         lm, _ = loss_fn(pm)
         fd = (lp - lm) / (2 * h)
-        denom = max(1e-6, abs(fd), abs(grads[key][idx]))
-        worst = max(worst, abs(fd - grads[key][idx]) / denom)
+        grad = grads[key][idx] if key in grads else 0.0   # not reached
+        denom = max(1e-6, abs(fd), abs(grad))
+        worst = max(worst, abs(fd - grad) / denom)
     assert worst < tol, f"finite-difference mismatch {worst:.2e}"
 
 
