@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import eval_metrics, scenegen, toy_predictor
 from .collision_geometry import (
     COLLISION_THRESHOLD_M,
@@ -314,9 +316,11 @@ def cmd_pretrain(cfg: RunConfig, train_path, out, history_path):
 def _train(stage: str, params, split, tc: TrainConfig, out, history_path,
            **options):
     """Train, then save the checkpoint and history; exit 4 naming the stage
-    and epoch, with nothing saved, when training diverges."""
+    and epoch, with nothing saved, when training diverges. Overflow is left
+    to train's non-finite checks, so that line is the only explanation."""
     try:
-        history = toy_predictor.train(params, split, tc, **options)
+        with np.errstate(over="ignore", invalid="ignore"):
+            history = toy_predictor.train(params, split, tc, **options)
     except NonFiniteError as e:
         print(f"{stage} diverged at {e}", file=sys.stderr)
         return EXIT_VALIDATION

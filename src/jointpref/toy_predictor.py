@@ -166,7 +166,13 @@ def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
 
 def forward(params: dict, block: SceneBlock, cache: bool = False):
     """Trajectories (B, A, K, T_fut, 2) and logits (B, A, K) of a block,
-    plus the activation cache when requested."""
+    plus the activation cache when requested.
+
+    The offsets contract z against a contiguous (2H, K*O) copy of Wtraj, so
+    einsum's inner loop runs over all K*O outputs at once. Each offset is
+    still z's terms summed over c in order: numpy's einsum (2.4.6) adds one
+    rounded product per c to each output, in this layout as in the
+    per-scene "ac,kco->ako" it replaced. The tests pin the bits."""
     f = block.features                                     # (B, A, d_in)
     a = f.shape[1]
     h1 = np.tanh(f @ params["W1"] + params["b1"])          # (B, A, H)
@@ -176,7 +182,10 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
     s = np.tanh(m @ params["Ws"] + params["bs"])           # (B, A, H)
     z = np.concatenate([e, s], axis=2)                     # (B, A, 2H)
 
-    offsets = np.einsum("bac,kco->bako", z, params["Wtraj"]) + params["btraj"]
+    k, c, o = params["Wtraj"].shape
+    w = np.ascontiguousarray(params["Wtraj"].transpose(1, 0, 2)).reshape(c, -1)
+    offsets = (np.einsum("bac,cp->bap", z, w).reshape(*z.shape[:2], k, o)
+               + params["btraj"])                          # (B, A, K, O)
     trajs = block.anchors[:, :, None] + offsets.reshape(
         *offsets.shape[:3], -1, 2)                         # (B, A, K, T, 2)
     logits = z @ params["Wl"] + params["bl"]               # (B, A, K)
@@ -194,7 +203,17 @@ def backward(params: dict, cache: tuple, d_logits: np.ndarray,
     None (their gradient would be exactly zero).
 
     Each (B, ...) stack of per-scene gradients is summed in scene order as
-    soon as it is made, so one stack is alive at a time."""
+    soon as it is made, so one stack is alive at a time.
+
+    Under winner-takes-all an agent's trajectory gradient lives in one
+    mode, so Wtraj's part of dz is contracted per mode over that mode's
+    live (scene, agent) rows only, or over the whole slice when every row
+    is live (the direct cost). The modes are added onto +0 in mode order,
+    and the result is added to the logit path's dz in one sum. That is the
+    order of the full "bako,kco->bac" einsum: numpy's einsum (2.4.6)
+    reduces one mode's O terms per inner loop and adds the modes in order,
+    and a dead row's +-0 leaves a sum that started at +0 unchanged. The
+    tests pin the bits."""
     hidden = params["_meta"]["hidden"]
     f, h1, e, m, s, z = cache
     a = z.shape[1]
@@ -205,7 +224,15 @@ def backward(params: dict, cache: tuple, d_logits: np.ndarray,
     if d_trajs is not None:
         d_off = d_trajs.reshape(*d_trajs.shape[:3], -1)    # (B, A, K, O)
         sums["btraj"] = d_off.sum(axis=1).sum(axis=0)
-        dz = dz + np.einsum("bako,kco->bac", d_off, params["Wtraj"])
+        live = d_off.any(axis=3)                           # (B, A, K)
+        dz_off = np.zeros_like(dz)
+        for k in np.flatnonzero(live.any(axis=(0, 1))):
+            rows, w_k = live[:, :, k], params["Wtraj"][k]
+            if rows.all():
+                dz_off += np.einsum("bao,co->bac", d_off[:, :, k], w_k)
+            else:
+                dz_off[rows] += np.einsum("no,co->nc", d_off[rows, k], w_k)
+        dz = dz + dz_off
 
     de = dz[..., :hidden].copy()
     dpre_s = dz[..., hidden:] * (1.0 - s * s)
@@ -231,11 +258,19 @@ def _accumulate(params: dict, sums: dict, z: np.ndarray,
     here from the live part of d_off only. Per mode, only the scenes with a
     nonzero d_off slice and, among them, the offset columns with a nonzero
     entry are contracted: under winner-takes-all most slices are dead, and
-    the direct-cost gradient touches few columns. One einsum adds each
-    scene's agents in order, as a per-scene einsum does, and the scenes
-    are then summed in order onto +0. The bits equal the sum over every
-    slice and column: a dead one's term is +0, and adding +0 to a sum that
-    started at +0 leaves it unchanged."""
+    the direct-cost gradient touches few columns.
+
+    A mode that some scene gives to two live agents (always, under the
+    direct cost) is summed per scene: one einsum adds each scene's agents
+    in order, as a per-scene einsum does, and the (live B, O, 2H) stack is
+    summed over scenes in order. In a mode that no scene shares, each
+    scene's term is one agent's exact outer product, the others adding
+    +-0, so one "bao,bac->oc" einsum gives the same bits without the
+    stack: numpy's einsum (2.4.6) adds its rounded products one at a time,
+    scenes in order. Either sum is added onto +0. The bits equal the sum
+    over every slice and column: a dead one's term is +-0, and adding it
+    to a sum that started at +0 leaves the sum unchanged. The tests pin
+    both paths."""
     mean = dict(sums)
     if d_off is not None:
         mean["Wtraj"] = np.zeros_like(params["Wtraj"])
@@ -243,9 +278,14 @@ def _accumulate(params: dict, sums: dict, z: np.ndarray,
         for k in np.flatnonzero(live.any(axis=0)):
             d_k = d_off[live[:, k], :, k]                  # (live B, A, O)
             cols = np.flatnonzero(d_k.any(axis=(0, 1)))
-            # (live B, live O, 2H): the longer 2H axis runs innermost
-            mean["Wtraj"][k][:, cols] += np.einsum(
-                "bao,bac->boc", d_k[:, :, cols], z[live[:, k]]).sum(axis=0).T
+            d_k, z_k = d_k[:, :, cols], z[live[:, k]]
+            # the longer 2H axis runs innermost
+            if d_k.any(axis=2).sum(axis=1).max() == 1:     # no scene shares k
+                mean["Wtraj"][k][:, cols] += np.einsum(
+                    "bao,bac->oc", d_k, z_k).T
+            else:                                          # (live B, O, 2H)
+                mean["Wtraj"][k][:, cols] += np.einsum(
+                    "bao,bac->boc", d_k, z_k).sum(axis=0).T
     for grad in mean.values():
         grad /= len(z)
     return mean
@@ -254,18 +294,22 @@ def _accumulate(params: dict, sums: dict, z: np.ndarray,
 def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
              velocity: dict | None = None) -> dict | None:
     """In-place SGD update of the parameters in grads; returns the updated
-    velocity state when used. A parameter missing from grads keeps its value
-    and its velocity: a loss leaves out only a parameter it never reaches,
-    so over a stage this equals a zero update of a zero velocity."""
+    velocity state when used. Each array is updated in place (v *= momentum;
+    v += g; p -= lr * v), the same elementwise operations and so the same
+    bits as v = momentum * v + g; p = p - lr * v, without the temporaries;
+    the tests pin them. A parameter missing from grads keeps its array, its
+    value and its velocity: a loss leaves out only a parameter it never
+    reaches, so over a stage this equals a zero update of a zero velocity."""
     if momentum > 0:
         if velocity is None:
             velocity = zero_grads(params)
         for key in grads:
-            velocity[key] = momentum * velocity[key] + grads[key]
-            params[key] = params[key] - lr * velocity[key]
+            velocity[key] *= momentum
+            velocity[key] += grads[key]
+            params[key] -= lr * velocity[key]
         return velocity
     for key in grads:
-        params[key] = params[key] - lr * grads[key]
+        params[key] -= lr * grads[key]
     return velocity
 
 
@@ -386,6 +430,8 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Parameters and meta of a checkpoint; ValueError naming the key when a
+    parameter's shape differs from the manifest or a value is not finite."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["_meta"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -394,6 +440,9 @@ def load_checkpoint(path) -> dict:
     for k, shape in meta["shapes"].items():
         if list(params[k].shape) != shape:
             raise ValueError(f"checkpoint shape mismatch for {k}")
+    for k in PARAM_KEYS:
+        if not np.isfinite(params[k]).all():
+            raise ValueError(f"checkpoint parameter {k} is not finite")
     meta.pop("shapes")
     meta.pop("version")
     params["_meta"] = meta

@@ -6,6 +6,11 @@ scene's loss and reward gap, and the batch-mean gradient summed in scene
 order, bit for bit, at the default BLAS thread count and at one thread. A
 parameter the block's gradients leave out must have a +0 reference
 gradient.
+
+The training step's exact paths rest on the order in which numpy's einsum
+sums each contraction, so every path is pinned here: forward's flattened
+Wtraj contraction, backward's per-mode dz, both ways _accumulate sums a
+mode, and the in-place SGD update.
 """
 
 import os
@@ -46,6 +51,7 @@ from jointpref.toy_predictor import (
     init_params,
     pretrain_scene_loss,
     scene_block,
+    sgd_step,
     simpo_scene_loss,
     train,
     zero_grads,
@@ -281,6 +287,22 @@ def test_forward_matches_reference_over_a_split():
         assert l.tobytes() == pred.logits.tobytes()
 
 
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("b", [1, 23])
+def test_forward_matches_reference_at_k12(b):
+    """23 is not a multiple of the default batch size of 16."""
+    params = make_params(12)
+    scenes = make_scenes(b, seed=3)
+    trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
+    for scene, t, l in zip(scenes, trajs, logits):
+        pred, _ = forward_ref(params, scene)
+        assert np.array_equal(bits(t), bits(pred.trajectories))
+        assert np.array_equal(bits(l), bits(pred.logits))
+
+
 # ---------------------------------------------------------------------------
 # backward on synthetic blocks: shared, absent and all-zero winning modes
 # ---------------------------------------------------------------------------
@@ -390,3 +412,61 @@ def test_simpo_with_momentum_leaves_trajectory_head_untouched():
     train(params, make_scenes(8), config)
     assert {key: params[key].tobytes() for key in frozen} == frozen
     assert not np.array_equal(params["W1"], trunk)
+
+
+def test_shared_and_unshared_modes_in_one_block():
+    """Mode 0 is won by two agents of scenes 2 and 5, after a scene where
+    one agent wins it; no scene has two agents on mode 1. So _accumulate
+    sums mode 0 scene by scene and mode 1 in one einsum, in the same call."""
+    winners = np.array([[1, 3, 0], [2, 1, 4], [0, 0, 1], [5, 2, 3],
+                        [1, 4, 5], [0, 0, 2], [3, 1, 5], [4, 5, 1]])
+    per_scene = [(winners == mode).sum(axis=1) for mode in (0, 1)]
+    assert per_scene[0].max() == 2 and per_scene[1].max() == 1
+    params = make_params(6)
+    grads, ref = backward_and_reference(params, synthetic_block(8, 3, 5),
+                                        winner_grads(winners, 6, seed=5))
+    assert_bits_equal(grads, ref)
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_every_offset_row_live(k):
+    """Every (scene, agent, mode) row has a gradient, as under the direct
+    cost, so dz takes each mode's whole slice; the logit gradient is
+    nonzero, so the order in which the modes reach dz shows in its bits."""
+    params = make_params(k)
+    d_trajs = np.random.default_rng(k).standard_normal((16, 2, k, T_FUT, 2))
+    grads, ref = backward_and_reference(params, synthetic_block(16, 2, k),
+                                        d_trajs)
+    assert_bits_equal(grads, ref)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_step_in_place_matches_out_of_place(momentum):
+    """Five in-place steps give the bits of the former out-of-place update;
+    a key missing from grads keeps its array object and its bits."""
+    params = make_params(6)
+    ref = {key: params[key].copy() for key in PARAM_KEYS}
+    ref_velocity = zero_grads(params)
+    frozen = {key: params[key] for key in ("Wtraj", "btraj")}
+    frozen_bits = {key: params[key].tobytes() for key in frozen}
+    rng = np.random.default_rng(1)
+    velocity = None
+    for _ in range(5):
+        grads = {key: rng.standard_normal(params[key].shape)
+                 for key in PARAM_KEYS if key not in frozen}
+        velocity = sgd_step(params, grads, 1e-2, momentum, velocity)
+        for key, grad in grads.items():
+            if momentum > 0:
+                ref_velocity[key] = momentum * ref_velocity[key] + grad
+                ref[key] = ref[key] - 1e-2 * ref_velocity[key]
+            else:
+                ref[key] = ref[key] - 1e-2 * grad
+    for key in PARAM_KEYS:
+        assert np.array_equal(bits(params[key]), bits(ref[key])), key
+    for key, array in frozen.items():
+        assert params[key] is array
+        assert params[key].tobytes() == frozen_bits[key]
+    if momentum > 0:
+        for key in PARAM_KEYS:
+            assert np.array_equal(bits(velocity[key]),
+                                  bits(ref_velocity[key])), key

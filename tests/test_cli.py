@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from jointpref import cli
+from jointpref import cli, toy_predictor
 from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -494,17 +495,55 @@ class TestMisuse:
         assert not (workdir / "subset.txt").exists()
 
 
+class TestNonFiniteCheckpoint:
+    """A checkpoint with an infinite parameter exits 4 naming the file and
+    the parameter, as other unreadable checkpoints do."""
+
+    @pytest.fixture
+    def workdir(self, pretrained, tmp_path):
+        workdir = copy_run(pretrained, tmp_path)
+        ckpt = workdir / "pretrained.npz"
+        params = toy_predictor.load_checkpoint(ckpt)
+        params["Wl"][0, 0] = np.inf
+        toy_predictor.save_checkpoint(ckpt, params)
+        return workdir
+
+    def test_extract(self, workdir, capsys):
+        assert run(workdir, "extract") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{workdir / 'pretrained.npz'}: checkpoint parameter Wl" in err
+        assert not (workdir / "subset.txt").exists()
+
+    def test_eval(self, workdir, capsys):
+        ckpt = workdir / "pretrained.npz"
+        assert run(workdir, "eval", "--checkpoint", str(ckpt),
+                   "--tag", "x") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint parameter Wl is not finite" in err
+        assert not (workdir / "report_x.json").exists()
+
+
+def runtime_warnings(caught):
+    """The messages of recorded RuntimeWarnings: each would be printed on
+    stderr above the exit-4 line."""
+    return [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDiverged:
     """A training stage whose loss or logits stop being finite exits 4,
-    naming the stage and epoch, and writes no checkpoint, history or
-    manifest."""
+    naming the stage and epoch, with no numpy warning before that line,
+    and writes no checkpoint, history or manifest."""
 
     def test_pretrain_with_non_finite_logits(self, tmp_path, capsys):
         assert run(tmp_path, "gen") == EXIT_OK
-        assert run(tmp_path, "pretrain",
-                   sets=[("pretrain_lr", "1e300")]) == EXIT_VALIDATION
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(tmp_path, "pretrain",
+                       sets=[("pretrain_lr", "1e300")]) == EXIT_VALIDATION
         assert "pretrain diverged at epoch 0: logits must be finite" in \
             capsys.readouterr().err
+        assert runtime_warnings(caught) == []
         for name in ("pretrained.npz", "pretrain_history.json",
                      "pretrain_manifest.json"):
             assert not (tmp_path / name).exists()
@@ -512,11 +551,14 @@ class TestDiverged:
     def test_direct_cost_with_infinite_loss(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
         assert run(workdir, "extract") == EXIT_OK
-        assert run(workdir, "finetune", "--objective", "direct-cost",
-                   sets=[("finetune_lr", "1e300"), ("finetune_epochs", "3")]
-                   ) == EXIT_VALIDATION
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(workdir, "finetune", "--objective", "direct-cost",
+                       sets=[("finetune_lr", "1e300"),
+                             ("finetune_epochs", "3")]) == EXIT_VALIDATION
         assert "finetune[direct-cost] diverged at epoch 1: loss inf" in \
             capsys.readouterr().err
+        assert runtime_warnings(caught) == []
         for name in ("finetuned_direct.npz", "finetune_direct_history.json",
                      "finetune_direct_manifest.json"):
             assert not (workdir / name).exists()
