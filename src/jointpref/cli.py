@@ -45,7 +45,6 @@ from .scene_model import (
     MarginalPrediction,
     NonFiniteError,
     read_scenes,
-    validate_scene,
     write_scenes,
 )
 from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
@@ -285,12 +284,6 @@ def cmd_gen(cfg: RunConfig, train_path, val_path, summary_path):
     except ValueError as e:
         print(f"scene generation failed: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    for scene in scenes:
-        result = validate_scene(scene)
-        if not result.ok:
-            print(f"generated scene {scene.scene_id} invalid: {result.violations}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
     train, val = scenes[:cfg.n_train], scenes[cfg.n_train:]
     write_scenes(train_path, train, cfg.t_obs, cfg.t_fut)
     write_scenes(val_path, val, cfg.t_obs, cfg.t_fut)

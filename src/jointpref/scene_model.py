@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,55 +24,48 @@ class NonFiniteError(ValueError):
     """A logit, loss or parameter that must be finite is not."""
 
 
-@dataclass(frozen=True)
-class AgentTrack:
-    """Observed history of a single agent: positions, velocities and yaws.
-
-    All three sequences share the same length T_obs.
-    """
-
-    agent_id: int
-    past_positions: np.ndarray    # (T_obs, 2) meters
-    past_velocities: np.ndarray   # (T_obs, 2) m/s
-    past_yaws: np.ndarray         # (T_obs,) radians in (-pi, pi]
-
-    def __post_init__(self):
-        object.__setattr__(self, "past_positions",
-                           np.asarray(self.past_positions, dtype=np.float64))
-        object.__setattr__(self, "past_velocities",
-                           np.asarray(self.past_velocities, dtype=np.float64))
-        object.__setattr__(self, "past_yaws",
-                           np.asarray(self.past_yaws, dtype=np.float64))
-        for arr in (self.past_positions, self.past_velocities, self.past_yaws):
-            arr.setflags(write=False)
-
-    @property
-    def t_obs(self) -> int:
-        return self.past_positions.shape[0]
+_TRACKS = ("past_positions", "past_velocities", "past_yaws")
 
 
 @dataclass(frozen=True)
 class Scene:
-    """One prediction problem: agent histories plus ground-truth futures."""
+    """One prediction problem: agent histories plus ground-truth futures,
+    with agents on the first axis of every array.
+
+    The arrays are read-only float64 copies. ValueError naming the scene
+    and its first violation when they do not make a valid scene, so every
+    Scene that exists is valid."""
 
     scene_id: str
-    agents: tuple[AgentTrack, ...]
+    past_positions: np.ndarray        # (A, T_obs, 2) meters
+    past_velocities: np.ndarray       # (A, T_obs, 2) m/s
+    past_yaws: np.ndarray             # (A, T_obs) radians in (-pi, pi]
     ground_truth_futures: np.ndarray  # (A, T_fut, 2) meters
-    t_fut: int
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        gt = np.asarray(self.ground_truth_futures, dtype=np.float64)
-        gt.setflags(write=False)
-        object.__setattr__(self, "ground_truth_futures", gt)
+        for name in (*_TRACKS, "ground_truth_futures"):
+            try:
+                arr = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"scene {self.scene_id} has a malformed "
+                                 f"{name}: {e}") from e
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        violations = validate_scene(self)
+        if violations:
+            raise ValueError(f"scene {self.scene_id} {violations[0]}")
 
     @property
     def num_agents(self) -> int:
-        return len(self.agents)
+        return self.past_positions.shape[0]
 
     @property
     def t_obs(self) -> int:
-        return self.agents[0].t_obs if self.agents else 0
+        return self.past_positions.shape[1]
+
+    @property
+    def t_fut(self) -> int:
+        return self.ground_truth_futures.shape[1]
 
 
 @dataclass(frozen=True)
@@ -140,83 +133,43 @@ class JointModeSet:
         return self.modes.shape[-3]
 
 
-@dataclass
-class ValidationResult:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_scene(scene: Scene) -> ValidationResult:
-    """Check scene invariants; returns the list of violations instead of raising."""
-    res = ValidationResult()
-    if scene.num_agents < 1:
-        res.violations.append("scene has no agents")
-        return res
-    if scene.t_fut < 1:
-        res.violations.append("t_fut < 1")
-    t_obs = scene.agents[0].t_obs
-    for a in scene.agents:
-        n = a.past_positions.shape[0]
-        if not (n == a.past_velocities.shape[0] == a.past_yaws.shape[0]):
-            res.violations.append(f"agent {a.agent_id}: track length mismatch")
-        if n < 1:
-            res.violations.append(f"agent {a.agent_id}: empty track")
-        if n != t_obs:
-            res.violations.append(f"agent {a.agent_id}: t_obs differs across agents")
-        for arr, name in ((a.past_positions, "position"),
-                          (a.past_velocities, "velocity"),
-                          (a.past_yaws, "yaw")):
-            if not np.all(np.isfinite(arr)):
-                res.violations.append(
-                    f"agent {a.agent_id}: non-finite {name} coordinate")
-        if np.all(np.isfinite(a.past_yaws)) and (
-                np.any(a.past_yaws <= -math.pi) or np.any(a.past_yaws > math.pi)):
-            res.violations.append(f"agent {a.agent_id}: yaw outside (-pi, pi]")
-    gt = scene.ground_truth_futures
-    if gt.shape != (scene.num_agents, scene.t_fut, 2):
-        res.violations.append(
-            f"future length mismatch: expected {(scene.num_agents, scene.t_fut, 2)}, "
-            f"got {gt.shape}")
-    if not np.all(np.isfinite(gt)):
-        res.violations.append("non-finite coordinate in ground-truth future")
-    return res
+def validate_scene(scene: Scene) -> list[str]:
+    """The scene's violations, each worded to follow "scene <id>"; empty
+    when it is valid. Shapes are checked first, and values only when the
+    shapes hold."""
+    pos, yaws = scene.past_positions, scene.past_yaws
+    vel, fut = scene.past_velocities, scene.ground_truth_futures
+    if pos.ndim != 3 or pos.shape[2] != 2 or 0 in pos.shape:
+        return [f"has past_positions of shape {pos.shape}, not (A, T_obs, 2)"]
+    for name, arr, shape in (("past_velocities", vel, pos.shape),
+                             ("past_yaws", yaws, pos.shape[:2])):
+        if arr.shape != shape:
+            return [f"has {name} of shape {arr.shape}, not {shape}"]
+    if (fut.ndim != 3 or fut.shape[0] != pos.shape[0] or fut.shape[2] != 2
+            or not fut.shape[1]):
+        return [f"has ground_truth_futures of shape {fut.shape}, "
+                f"not ({pos.shape[0]}, T_fut, 2)"]
+    # the yaws are finite when their min and max are, as NaN propagates
+    low, high = yaws.min(), yaws.max()
+    if not (np.isfinite(pos).all() and np.isfinite(vel).all()
+            and np.isfinite(fut).all()
+            and math.isfinite(low) and math.isfinite(high)):
+        return ["has a non-finite value"]
+    if not (-math.pi < low and high <= math.pi):
+        return ["has a yaw outside (-pi, pi]"]
+    return []
 
 
 def _scene_to_record(scene: Scene) -> dict:
+    tracks = zip(scene.past_positions.tolist(), scene.past_velocities.tolist(),
+                 scene.past_yaws.tolist())
     return {
         "scene_id": scene.scene_id,
-        "agents": [
-            {
-                "agent_id": a.agent_id,
-                "past_positions": a.past_positions.tolist(),
-                "past_velocities": a.past_velocities.tolist(),
-                "past_yaws": a.past_yaws.tolist(),
-            }
-            for a in scene.agents
-        ],
+        "agents": [{"agent_id": i, "past_positions": positions,
+                    "past_velocities": velocities, "past_yaws": yaws}
+                   for i, (positions, velocities, yaws) in enumerate(tracks)],
         "futures": scene.ground_truth_futures.tolist(),
     }
-
-
-def _scene_from_record(rec: dict, t_fut: int) -> Scene:
-    agents = tuple(
-        AgentTrack(
-            agent_id=int(a["agent_id"]),
-            past_positions=np.array(a["past_positions"], dtype=np.float64),
-            past_velocities=np.array(a["past_velocities"], dtype=np.float64),
-            past_yaws=np.array(a["past_yaws"], dtype=np.float64),
-        )
-        for a in rec["agents"]
-    )
-    return Scene(
-        scene_id=str(rec["scene_id"]),
-        agents=agents,
-        ground_truth_futures=np.array(rec["futures"], dtype=np.float64),
-        t_fut=t_fut,
-    )
 
 
 def write_scenes(path, scenes, t_obs: int, t_fut: int) -> None:
@@ -234,7 +187,8 @@ def write_scenes(path, scenes, t_obs: int, t_fut: int) -> None:
 def read_scenes(path) -> tuple[list[Scene], dict]:
     """Read a scene file; returns (scenes, header).
 
-    Raises SceneFileError naming the offending line on malformed records or
+    Raises SceneFileError naming the offending line on malformed records,
+    invalid scenes, scenes whose horizons differ from the header, or
     unknown schema versions. An empty file yields no scenes.
     """
     scenes: list[Scene] = []
@@ -255,7 +209,20 @@ def read_scenes(path) -> tuple[list[Scene], dict]:
                 header = rec
                 continue
             try:
-                scenes.append(_scene_from_record(rec, t_fut=header["t_fut"]))
-            except (KeyError, TypeError, ValueError) as e:
+                agents = rec["agents"]
+                scene = Scene(str(rec["scene_id"]),
+                              *([agent[name] for agent in agents]
+                                for name in _TRACKS),
+                              rec["futures"])
+            except (KeyError, TypeError) as e:
                 raise SceneFileError(f"line {lineno}: bad scene record: {e}") from e
+            except ValueError as e:
+                raise SceneFileError(f"line {lineno}: {e}") from e
+            if (scene.t_obs, scene.t_fut) != (header.get("t_obs"),
+                                              header.get("t_fut")):
+                raise SceneFileError(
+                    f"line {lineno}: scene {scene.scene_id} has horizons "
+                    f"{scene.t_obs}/{scene.t_fut}, the header has "
+                    f"{header.get('t_obs')}/{header.get('t_fut')}")
+            scenes.append(scene)
     return scenes, header

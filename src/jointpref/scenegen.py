@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision_geometry import pairwise_distances
-from .scene_model import AgentTrack, Scene
+from .scene_model import Scene
 
 DT = 0.1
 DEFAULT_T_OBS = 10
@@ -151,17 +151,11 @@ def generate_scene(spec: ScenarioSpec, seed: int, scene_id: str | None = None,
     if spec.noise_std > 0:
         past += rng.normal(0.0, spec.noise_std, size=past.shape)
 
-    agents = []
-    for i in range(spec.num_agents):
-        vel = np.gradient(past[i], DT, axis=0)
-        yaw = np.arctan2(vel[:, 1], vel[:, 0])
-        # atan2 returns -pi for due-west motion; fold onto (-pi, pi]
-        yaw = np.where(yaw <= -math.pi, math.pi, yaw)
-        agents.append(AgentTrack(agent_id=i, past_positions=past[i],
-                                 past_velocities=vel, past_yaws=yaw))
-    scene = Scene(scene_id=scene_id or f"{spec.kind}-{seed}",
-                  agents=tuple(agents), ground_truth_futures=future,
-                  t_fut=t_fut)
+    vel = np.gradient(past, DT, axis=1)
+    yaw = np.arctan2(vel[..., 1], vel[..., 0])
+    # atan2 returns -pi for due-west motion; fold onto (-pi, pi]
+    yaw = np.where(yaw <= -math.pi, math.pi, yaw)
+    scene = Scene(scene_id or f"{spec.kind}-{seed}", past, vel, yaw, future)
     if _min_future_gap(future) < 1.0:
         raise ValueError("ground-truth agents come closer than 1 m")
     return scene

@@ -129,9 +129,8 @@ def _anchors(positions: np.ndarray, velocities: np.ndarray,
 def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
     """Scenes of one agent count and the model's horizons, as arrays.
 
-    ValueError naming the scene when the list is empty, a scene's horizons
-    or agent count differ, or a coordinate, velocity or yaw is not finite.
-    """
+    ValueError naming the scene when the list is empty or a scene's
+    horizons or agent count differ."""
     if not scenes:
         raise ValueError("no scenes")
     first = scenes[0]
@@ -143,24 +142,13 @@ def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
             raise ValueError(f"scene {scene.scene_id} has {scene.num_agents} "
                              f"agents, scene {first.scene_id} has "
                              f"{first.num_agents}")
-
-    def tracks(name):
-        return np.array([[getattr(agent, name) for agent in scene.agents]
-                         for scene in scenes])
-
-    positions, velocities = tracks("past_positions"), tracks("past_velocities")
-    yaws = tracks("past_yaws")
-    futures = np.array([scene.ground_truth_futures for scene in scenes])
-    finite = np.ones(len(scenes), dtype=bool)
-    for x in (positions, velocities, yaws, futures):
-        finite &= np.isfinite(x.reshape(len(scenes), -1)).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"scene {scenes[np.argmin(finite)].scene_id} "
-                         "has a non-finite value")
+    positions = np.array([scene.past_positions for scene in scenes])
+    velocities = np.array([scene.past_velocities for scene in scenes])
     return SceneBlock(
-        features=_features(positions, velocities, yaws),
+        features=_features(positions, velocities,
+                           np.array([scene.past_yaws for scene in scenes])),
         anchors=_anchors(positions, velocities, t_fut),
-        futures=futures,
+        futures=np.array([scene.ground_truth_futures for scene in scenes]),
         ids=np.array([scene.scene_id for scene in scenes], dtype=str))
 
 
@@ -365,19 +353,15 @@ def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
     return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
 
 
-def train(params: dict, scenes: list[Scene] | SceneBlock,
-          config: TrainConfig, repeller: RepellerParams | None = None,
-          log_fn=None) -> dict:
-    """Run one training stage in place on scenes or their block; returns a
+def train(params: dict, block: SceneBlock, config: TrainConfig,
+          repeller: RepellerParams | None = None, log_fn=None) -> dict:
+    """Run one training stage in place on a scene block; returns a
     per-epoch history dict.
 
     NonFiniteError naming the epoch when a step meets a non-finite logit,
     an epoch's mean loss is not finite, or a parameter is not finite at the
     end; the checks add no work per step."""
     repeller = repeller or RepellerParams()
-    meta = params["_meta"]
-    block = (scenes if isinstance(scenes, SceneBlock)
-             else scene_block(scenes, meta["t_obs"], meta["t_fut"]))
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed & 0xFFFFFFFF, 23]))
     history = {"epoch_loss": [], "epoch_reward_gap": []}

@@ -66,13 +66,14 @@ KINDS = ("crossing", "merge", "follow", "parallel")
 # ---------------------------------------------------------------------------
 
 def features_ref(scene):
-    last = np.array([a.past_positions[-1] for a in scene.agents])
+    last = np.array([scene.past_positions[i, -1]
+                     for i in range(scene.num_agents)])
     centroid = last.mean(axis=0)
     feats = []
-    for agent, rel in zip(scene.agents, last - centroid):
-        disp = np.diff(agent.past_positions, axis=0)
-        vel = agent.past_velocities * VEL_SCALE
-        yaw = agent.past_yaws[-1]
+    for i, rel in enumerate(last - centroid):
+        disp = np.diff(scene.past_positions[i], axis=0)
+        vel = scene.past_velocities[i] * VEL_SCALE
+        yaw = scene.past_yaws[i, -1]
         feats.append(np.concatenate([disp.ravel(), vel.ravel(),
                                      [np.sin(yaw), np.cos(yaw)],
                                      rel * POS_SCALE]))
@@ -82,9 +83,9 @@ def features_ref(scene):
 def anchors_ref(scene, t_fut):
     steps = DT * np.arange(1, t_fut + 1)
     out = np.zeros((scene.num_agents, t_fut, 2))
-    for i, agent in enumerate(scene.agents):
-        p_last = agent.past_positions[-1]
-        v_last = agent.past_velocities[-1]
+    for i in range(scene.num_agents):
+        p_last = scene.past_positions[i][-1]
+        v_last = scene.past_velocities[i][-1]
         out[i] = p_last[None, :] + steps[:, None] * v_last[None, :]
     return out
 
@@ -409,7 +410,7 @@ def test_simpo_with_momentum_leaves_trajectory_head_untouched():
     config = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4,
                          objective="simpo", momentum=0.9,
                          simpo=SimPOConfig(beta=2.0, gamma=5.0))
-    train(params, make_scenes(8), config)
+    train(params, scene_block(make_scenes(8), T_OBS, T_FUT), config)
     assert {key: params[key].tobytes() for key in frozen} == frozen
     assert not np.array_equal(params["W1"], trunk)
 

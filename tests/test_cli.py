@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jointpref import cli, toy_predictor
+from jointpref import cli, scenegen, toy_predictor
 from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -457,6 +457,19 @@ class TestMisuse:
         assert str(val) in err and "line 2" in err
         assert not (workdir / "report_x.json").exists()
 
+    def test_invalid_generated_scene_names_it(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a Scene checks itself as gen builds it, so no split is written
+        def nan_tracks(spec, rng, t_obs, t_fut, **kind):
+            return np.full((spec.num_agents, t_obs + t_fut, 2), np.nan)
+        monkeypatch.setattr(scenegen, "_crossing_like", nan_tracks)
+        monkeypatch.setattr(scenegen, "_lane_like", nan_tracks)
+        assert run(tmp_path, "gen") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "scene generation failed" in err
+        assert "-000000 has a non-finite value" in err
+        assert not (tmp_path / "train.jsonl").exists()
+
     def test_empty_split_names_it(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
         assert run(workdir, "gen", sets=[("n_val", "0")], force=True) == EXIT_OK
@@ -465,26 +478,38 @@ class TestMisuse:
         assert str(workdir / "val.jsonl") in err and "no scenes" in err
         assert not (workdir / "report_x.json").exists()
 
-    @pytest.mark.parametrize("edit,named", [
+    @pytest.mark.parametrize("edit,where,named", [
         (lambda rec: rec["agents"][1]["past_positions"][4].__setitem__(
-            0, float("nan")), "has a non-finite value"),
+            0, float("nan")), "line 4: ", "has a non-finite value"),
         (lambda rec: rec.update(agents=rec["agents"][:1],
                                 futures=rec["futures"][:1]),
-         "has 1 agents"),
-    ], ids=["nan", "one-agent"])
+         "", "has 1 agents"),
+        (lambda rec: rec.update(futures=[f[:-1] for f in rec["futures"]]),
+         "line 4: ", "has horizons 10/29, the header has 10/30"),
+        (lambda rec: rec["agents"][0]["past_yaws"].__setitem__(2, 7.0),
+         "line 4: ", "has a yaw outside (-pi, pi]"),
+        (lambda rec: rec["agents"][1]["past_velocities"].pop(),
+         "line 4: ", "has a malformed past_velocities"),
+    ], ids=["nan", "one-agent", "short-futures", "yaw-7", "short-velocity"])
     def test_malformed_scene_names_it(self, pretrained, tmp_path, capsys,
-                                      edit, named):
+                                      edit, where, named):
         workdir = copy_run(pretrained, tmp_path)
-        val = workdir / "val.jsonl"
-        lines = val.read_text().splitlines()
-        rec = json.loads(lines[3])
-        edit(rec)
-        lines[3] = json.dumps(rec)
-        val.write_text("\n".join(lines) + "\n")
-        assert run(workdir, "eval", "--tag", "x") == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert str(val) in err and f"scene {rec['scene_id']} {named}" in err
-        assert not (workdir / "report_x.json").exists()
+        for stage, split, output in (("eval", "val.jsonl", "report_x.json"),
+                                     ("pretrain", "train.jsonl",
+                                      "pretrained.npz")):
+            path = workdir / split
+            lines = path.read_text().splitlines()
+            rec = json.loads(lines[3])
+            edit(rec)
+            lines[3] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            if stage == "pretrain":
+                (workdir / output).unlink()
+            tag = ("--tag", "x") if stage == "eval" else ()
+            assert run(workdir, stage, *tag) == EXIT_VALIDATION, stage
+            err = capsys.readouterr().err
+            assert f"{path}: {where}scene {rec['scene_id']} {named}" in err
+            assert not (workdir / output).exists()
 
     def test_garbage_checkpoint_names_it(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)

@@ -10,7 +10,7 @@ from jointpref.eval_metrics import (
     scene_scr,
 )
 from jointpref.mode_aggregation import softmax
-from jointpref.scene_model import AgentTrack, JointModeSet, Scene
+from jointpref.scene_model import JointModeSet, Scene
 
 
 def make_joint(modes, logits=None):
@@ -35,15 +35,10 @@ def scene_arrays(scenes):
 
 
 def make_scene(scene_id, futures, t_obs=3):
-    futures = np.asarray(futures, dtype=float)
-    a, t_fut, _ = futures.shape
-    agents = tuple(
-        AgentTrack(agent_id=i, past_positions=np.zeros((t_obs, 2)),
-                   past_velocities=np.zeros((t_obs, 2)),
-                   past_yaws=np.zeros(t_obs))
-        for i in range(a))
-    return Scene(scene_id=scene_id, agents=agents,
-                 ground_truth_futures=futures, t_fut=t_fut)
+    a = len(futures)
+    return Scene(scene_id=scene_id, past_positions=np.zeros((a, t_obs, 2)),
+                 past_velocities=np.zeros((a, t_obs, 2)),
+                 past_yaws=np.zeros((a, t_obs)), ground_truth_futures=futures)
 
 
 def separated_gt(a=2, t=4, spacing=100.0):

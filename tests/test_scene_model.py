@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,6 @@ import pytest
 
 from jointpref.scene_model import (
     SCHEMA_VERSION,
-    AgentTrack,
     JointModeSet,
     MarginalPrediction,
     Scene,
@@ -15,35 +15,44 @@ from jointpref.scene_model import (
     validate_scene,
     write_scenes,
 )
+from jointpref.scenegen import KINDS, ScenarioSpec, generate_dataset
 
 
-def make_track(agent_id=0, t_obs=10, rng=None):
-    rng = rng or np.random.default_rng(agent_id)
-    pos = rng.normal(size=(t_obs, 2)) * 10
-    vel = rng.normal(size=(t_obs, 2)) * 5
-    yaw = rng.uniform(-math.pi + 1e-9, math.pi, size=t_obs)
-    return AgentTrack(agent_id=agent_id, past_positions=pos,
-                      past_velocities=vel, past_yaws=yaw)
+def make_arrays(num_agents=2, t_obs=10, t_fut=30, seed=0):
+    """Valid Scene fields as writable arrays, for tests to break."""
+    rng = np.random.default_rng(seed)
+    return {"past_positions": rng.normal(size=(num_agents, t_obs, 2)) * 10,
+            "past_velocities": rng.normal(size=(num_agents, t_obs, 2)) * 5,
+            "past_yaws": rng.uniform(-math.pi + 1e-9, math.pi,
+                                     size=(num_agents, t_obs)),
+            "ground_truth_futures": rng.normal(size=(num_agents, t_fut, 2)) * 10}
 
 
 def make_scene(scene_id="s0", num_agents=2, t_obs=10, t_fut=30, seed=0):
-    rng = np.random.default_rng(seed)
-    agents = tuple(make_track(i, t_obs, rng) for i in range(num_agents))
-    futures = rng.normal(size=(num_agents, t_fut, 2)) * 10
-    return Scene(scene_id=scene_id, agents=agents,
-                 ground_truth_futures=futures, t_fut=t_fut)
+    return Scene(scene_id, **make_arrays(num_agents, t_obs, t_fut, seed))
 
 
 class TestDataclasses:
     def test_track_arrays_read_only(self):
-        track = make_track()
-        with pytest.raises(ValueError):
-            track.past_positions[0, 0] = 1.0
+        scene = make_scene()
+        for arr in (scene.past_positions, scene.past_velocities,
+                    scene.past_yaws, scene.ground_truth_futures):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_scene_copies_its_inputs(self):
+        arrays = make_arrays()
+        scene = Scene("s0", **arrays)
+        arrays["past_positions"][0, 0, 0] += 1.0
+        assert scene.past_positions[0, 0, 0] != arrays["past_positions"][0, 0, 0]
 
     def test_scene_properties(self):
         scene = make_scene(num_agents=3, t_obs=7, t_fut=12)
         assert scene.num_agents == 3
         assert scene.t_obs == 7
+        assert scene.t_fut == 12
+        assert scene.past_positions.shape == (3, 7, 2)
+        assert scene.past_yaws.shape == (3, 7)
         assert scene.ground_truth_futures.shape == (3, 12, 2)
 
     def test_marginal_shape_mismatch_rejected(self):
@@ -70,55 +79,73 @@ class TestDataclasses:
         assert joint.num_agents == 3
 
 
+def broken(field, edit):
+    """make_arrays() with `field` replaced by edit(its array)."""
+    arrays = make_arrays()
+    arrays[field] = edit(arrays[field])
+    return arrays
+
+
+def set_first(value):
+    def edit(arr):
+        arr.flat[0] = value
+        return arr
+    return edit
+
+
 class TestValidation:
     def test_clean_scene_passes(self):
-        res = validate_scene(make_scene())
-        assert res.ok
-        assert res.violations == []
+        assert validate_scene(make_scene()) == []
 
     def test_nan_future_flagged(self):
-        scene = make_scene()
-        bad = scene.ground_truth_futures.copy()
-        bad[0, 0, 0] = np.nan
-        scene = Scene(scene_id="bad", agents=scene.agents,
-                      ground_truth_futures=bad, t_fut=scene.t_fut)
-        res = validate_scene(scene)
-        assert not res.ok
-        assert any("non-finite" in v for v in res.violations)
+        with pytest.raises(ValueError, match="scene bad has a non-finite value"):
+            Scene("bad", **broken("ground_truth_futures", set_first(np.nan)))
+
+    @pytest.mark.parametrize("field", ["past_positions", "past_velocities",
+                                       "past_yaws", "ground_truth_futures"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match="scene bad has a non-finite value"):
+            Scene("bad", **broken(field, set_first(value)))
 
     def test_future_shape_mismatch_flagged(self):
-        scene = make_scene()
-        wrong = np.zeros((scene.num_agents, scene.t_fut + 1, 2))
-        scene = Scene(scene_id="bad", agents=scene.agents,
-                      ground_truth_futures=wrong, t_fut=scene.t_fut)
-        res = validate_scene(scene)
-        assert any("future length mismatch" in v for v in res.violations)
+        with pytest.raises(ValueError, match="scene bad has ground_truth_"
+                           r"futures of shape \(3, 30, 2\)"):
+            Scene("bad", **broken("ground_truth_futures",
+                                  lambda f: np.concatenate([f, f[:1]])))
 
     def test_yaw_range_flagged(self):
-        track = make_track()
-        bad_yaw = track.past_yaws.copy()
-        bad_yaw[0] = math.pi + 0.1
-        track = AgentTrack(agent_id=0, past_positions=track.past_positions,
-                           past_velocities=track.past_velocities,
-                           past_yaws=bad_yaw)
-        scene = make_scene()
-        scene = Scene(scene_id="bad", agents=(track,) + scene.agents[1:],
-                      ground_truth_futures=scene.ground_truth_futures,
-                      t_fut=scene.t_fut)
-        res = validate_scene(scene)
-        assert any("yaw outside" in v for v in res.violations)
+        for yaw in (math.pi + 0.1, -math.pi, 7.0):
+            with pytest.raises(ValueError, match=r"scene bad has a yaw "
+                               r"outside \(-pi, pi\]"):
+                Scene("bad", **broken("past_yaws", set_first(yaw)))
+        scene = Scene("ok", **broken("past_yaws", set_first(math.pi)))
+        assert scene.past_yaws.flat[0] == math.pi
 
     def test_track_length_mismatch_flagged(self):
-        track = make_track()
-        short = AgentTrack(agent_id=0, past_positions=track.past_positions,
-                           past_velocities=track.past_velocities[:-1],
-                           past_yaws=track.past_yaws)
-        scene = make_scene()
-        scene = Scene(scene_id="bad", agents=(short,) + scene.agents[1:],
-                      ground_truth_futures=scene.ground_truth_futures,
-                      t_fut=scene.t_fut)
-        res = validate_scene(scene)
-        assert any("track length mismatch" in v for v in res.violations)
+        for field in ("past_velocities", "past_yaws"):
+            with pytest.raises(ValueError,
+                               match=f"scene bad has {field} of shape"):
+                Scene("bad", **broken(field, lambda arr: arr[:, :-1]))
+
+    @pytest.mark.parametrize("field,edit", [
+        ("past_positions", lambda arr: arr[:0]),
+        ("past_positions", lambda arr: arr[:, :0]),
+        ("past_positions", lambda arr: arr[..., :1]),
+        ("ground_truth_futures", lambda arr: arr[:, :0]),
+    ], ids=["no-agents", "empty-track", "one-coordinate", "empty-future"])
+    def test_empty_or_misshapen_rejected(self, field, edit):
+        with pytest.raises(ValueError, match=f"scene bad has {field} of shape"):
+            Scene("bad", **broken(field, edit))
+
+    def test_ragged_track_rejected(self):
+        arrays = make_arrays()
+        velocities = arrays["past_velocities"].tolist()
+        velocities[1] = velocities[1][:-1]
+        arrays["past_velocities"] = velocities
+        with pytest.raises(ValueError,
+                           match="scene bad has a malformed past_velocities"):
+            Scene("bad", **arrays)
 
 
 class TestRoundTrip:
@@ -132,13 +159,25 @@ class TestRoundTrip:
         assert len(loaded) == 5
         for orig, got in zip(scenes, loaded):
             assert got.scene_id == orig.scene_id
-            np.testing.assert_array_equal(got.ground_truth_futures,
-                                          orig.ground_truth_futures)
-            for a0, a1 in zip(orig.agents, got.agents):
-                assert a1.agent_id == a0.agent_id
-                np.testing.assert_array_equal(a1.past_positions, a0.past_positions)
-                np.testing.assert_array_equal(a1.past_velocities, a0.past_velocities)
-                np.testing.assert_array_equal(a1.past_yaws, a0.past_yaws)
+            for name in ("past_positions", "past_velocities", "past_yaws",
+                         "ground_truth_futures"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(orig, name))
+
+    def test_file_format_pinned(self, tmp_path):
+        # a fixed dataset's bytes, recorded before Scene held (A, T, .)
+        # arrays: changing the layout in memory must not change the file
+        specs = [(ScenarioSpec(kind=kind, num_agents=2 + i % 2), 1.0)
+                 for i, kind in enumerate(KINDS)]
+        scenes, _ = generate_dataset(specs, 8, seed=11, t_obs=6, t_fut=12)
+        path = tmp_path / "pinned.jsonl"
+        write_scenes(path, scenes, t_obs=6, t_fut=12)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "552ce997444899a351fef94c88a977bb045000c15a7e2ecc34ef81ebfa7eabc4")
+        again = tmp_path / "again.jsonl"
+        write_scenes(again, read_scenes(path)[0], t_obs=6, t_fut=12)
+        assert again.read_bytes() == data
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -58,7 +58,7 @@ class TestGenerateScene:
         assert scene.num_agents == 2
         assert scene.t_obs == DEFAULT_T_OBS
         assert scene.t_fut == DEFAULT_T_FUT
-        assert validate_scene(scene).ok
+        assert validate_scene(scene) == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_ground_truth_collision_free(self, kind):
@@ -73,8 +73,7 @@ class TestGenerateScene:
         s2 = generate_scene(spec, seed=42)
         np.testing.assert_array_equal(s1.ground_truth_futures,
                                       s2.ground_truth_futures)
-        for a1, a2 in zip(s1.agents, s2.agents):
-            np.testing.assert_array_equal(a1.past_positions, a2.past_positions)
+        np.testing.assert_array_equal(s1.past_positions, s2.past_positions)
 
     def test_seeds_differ(self):
         spec = ScenarioSpec(kind="crossing")
@@ -87,7 +86,7 @@ class TestGenerateScene:
         spec = ScenarioSpec(kind="follow", noise_std=0.0)
         clean = generate_scene(spec, seed=5)
         # noise-free past is exactly constant-velocity: second differences 0
-        pos = clean.agents[0].past_positions
+        pos = clean.past_positions[0]
         assert np.allclose(np.diff(pos, n=2, axis=0), 0.0, atol=1e-9)
 
     def test_custom_horizons(self):
@@ -99,9 +98,8 @@ class TestGenerateScene:
     def test_yaw_in_half_open_interval(self):
         for seed in range(10):
             scene = generate_scene(ScenarioSpec(kind="crossing"), seed=seed)
-            for a in scene.agents:
-                assert np.all(a.past_yaws > -math.pi)
-                assert np.all(a.past_yaws <= math.pi)
+            assert np.all(scene.past_yaws > -math.pi)
+            assert np.all(scene.past_yaws <= math.pi)
 
     def test_crossing_futures_pass_near_conflict_point(self):
         # agents head toward a common conflict region, so their paths come
@@ -130,7 +128,7 @@ class TestGenerateScene:
     @settings(max_examples=20, deadline=None)
     def test_any_seed_yields_valid_crossing(self, seed):
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=seed)
-        assert validate_scene(scene).ok
+        assert validate_scene(scene) == []
         assert min_future_gap(scene) >= 1.0
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from jointpref.collision_geometry import RepellerParams
 from jointpref.po_losses import SimPOConfig
-from jointpref.scene_model import AgentTrack, MarginalPrediction, Scene
+from jointpref.scene_model import MarginalPrediction, Scene
 from jointpref.scenegen import DT, ScenarioSpec, generate_scene
 from jointpref.toy_predictor import (
     PARAM_KEYS,
@@ -52,19 +52,18 @@ def hand_scene(num_agents, seed):
     """Agents on noisy straight lines: any agent count, no generator retries."""
     rng = np.random.default_rng(seed)
     t = DT * np.arange(T_OBS + T_FUT)
-    agents, futures = [], []
+    tracks, velocities, yaws = [], [], []
     for i in range(num_agents):
         heading = rng.uniform(-np.pi, np.pi)
         vel = rng.uniform(3.0, 8.0) * np.array([np.cos(heading), np.sin(heading)])
-        track = (rng.uniform(-15.0, 15.0, 2) + t[:, None] * vel
-                 + 0.05 * rng.standard_normal((t.size, 2)))
-        agents.append(AgentTrack(
-            agent_id=i, past_positions=track[:T_OBS],
-            past_velocities=vel + 0.05 * rng.standard_normal((T_OBS, 2)),
-            past_yaws=np.full(T_OBS, heading)))
-        futures.append(track[T_OBS:])
-    return Scene(scene_id=f"hand-{num_agents}-{seed}", agents=tuple(agents),
-                 ground_truth_futures=np.array(futures), t_fut=T_FUT)
+        tracks.append(rng.uniform(-15.0, 15.0, 2) + t[:, None] * vel
+                      + 0.05 * rng.standard_normal((t.size, 2)))
+        velocities.append(vel + 0.05 * rng.standard_normal((T_OBS, 2)))
+        yaws.append(np.full(T_OBS, heading))
+    tracks = np.array(tracks)
+    return Scene(scene_id=f"hand-{num_agents}-{seed}",
+                 past_positions=tracks[:, :T_OBS], past_velocities=velocities,
+                 past_yaws=yaws, ground_truth_futures=tracks[:, T_OBS:])
 
 
 def batch_mean(scene_loss):
@@ -135,25 +134,22 @@ class TestInitAndForward:
     def test_fresh_model_tracks_constant_velocity_anchor(self, params, scenes):
         # offsets start small, so predictions stay near the CV rollout
         pred = predict(params, scenes[1])
+        scene = scenes[1]
         anchors = np.array([
-            a.past_positions[-1] + 0.1 * np.arange(1, T_FUT + 1)[:, None]
-            * a.past_velocities[-1]
-            for a in scenes[1].agents])
+            scene.past_positions[i, -1] + 0.1 * np.arange(1, T_FUT + 1)[:, None]
+            * scene.past_velocities[i, -1]
+            for i in range(scene.num_agents)])
         err = np.abs(pred.trajectories - anchors[:, None]).max()
         assert err < 20.0
 
 
 def translate_scene(scene, offset):
     offset = np.asarray(offset, dtype=float)
-    agents = tuple(
-        AgentTrack(agent_id=a.agent_id,
-                   past_positions=a.past_positions + offset,
-                   past_velocities=a.past_velocities,
-                   past_yaws=a.past_yaws)
-        for a in scene.agents)
-    return Scene(scene_id=scene.scene_id, agents=agents,
-                 ground_truth_futures=scene.ground_truth_futures + offset,
-                 t_fut=scene.t_fut)
+    return Scene(scene_id=scene.scene_id,
+                 past_positions=scene.past_positions + offset,
+                 past_velocities=scene.past_velocities,
+                 past_yaws=scene.past_yaws,
+                 ground_truth_futures=scene.ground_truth_futures + offset)
 
 
 class TestTranslationInvariance:
@@ -249,14 +245,14 @@ class TestTraining:
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
         cfg = TrainConfig(objective="pretrain", learning_rate=0.05,
                           momentum=0.9, epochs=15, batch_size=4, rng_seed=0)
-        history = train(params, list(scenes), cfg)
+        history = train(params, block(*scenes), cfg)
         assert history["epoch_loss"][-1] < history["epoch_loss"][0]
 
     def test_simpo_records_reward_gap(self, scenes):
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
         cfg = TrainConfig(objective="simpo", learning_rate=1e-3, epochs=2,
                           batch_size=4, rng_seed=0)
-        history = train(params, list(scenes), cfg)
+        history = train(params, block(*scenes), cfg)
         assert len(history["epoch_reward_gap"]) == 2
 
     def test_training_bit_deterministic(self, scenes):
@@ -265,7 +261,7 @@ class TestTraining:
             params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
             cfg = TrainConfig(objective="pretrain", learning_rate=0.05,
                               epochs=3, batch_size=2, rng_seed=4)
-            history = train(params, list(scenes), cfg)
+            history = train(params, block(*scenes), cfg)
             runs.append((params, history))
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(runs[0][0][k], runs[1][0][k])
@@ -275,7 +271,7 @@ class TestTraining:
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
         cfg = TrainConfig(objective="direct-cost", learning_rate=1e-3,
                           epochs=10, batch_size=4, rng_seed=0)
-        history = train(params, list(scenes), cfg)
+        history = train(params, block(*scenes), cfg)
         assert history["epoch_loss"][-1] < history["epoch_loss"][0]
 
     def test_preference_step_does_not_boost_worst_mode(self):
