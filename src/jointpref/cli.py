@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import resource
 import sys
 import time
@@ -111,7 +113,6 @@ class RunConfig:
     finetune_lr: float = 2.5e-3
     finetune_epochs: int = 5
     batch_size: int = 16
-    momentum: float = 0.0
 
     def validate(self):
         if self.k < self.top_n:
@@ -230,6 +231,12 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
         # the whole process's peak so far: stages run in one process share it
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        # the bit-exact training paths rest on numpy's einsum summation order
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            **{var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
     }
     (workdir / f"{step}_manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n")
@@ -360,8 +367,7 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
     params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
-                     simpo=cfg.simpo(), lam=cfg.lam, momentum=cfg.momentum,
-                     rng_seed=cfg.seed)
+                     simpo=cfg.simpo(), lam=cfg.lam, rng_seed=cfg.seed)
     return _train(
         f"finetune[{objective}]", params, subset, tc, out, history_path,
         repeller=cfg.repeller(),
@@ -438,7 +444,7 @@ STAGES = {
                       ("train.jsonl", "pretrained.npz", "subset.txt"),
                       ("finetuned{suffix}.npz", "finetune{suffix}_history.json"),
                       ("seed", *MODEL, "finetune_lr", "finetune_epochs",
-                       "batch_size", "momentum", "beta", "gamma", "lam",
+                       "batch_size", "beta", "gamma", "lam",
                        "repeller_r", "repeller_eps")),
     "eval": Stage(cmd_eval, ("val.jsonl",), ("report{suffix}.json",),
                   (*MODEL, "top_n", "collision_threshold")),

@@ -8,24 +8,9 @@ of the scene logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scene_model import JointModeSet, MarginalPrediction
-
-
-@dataclass(frozen=True)
-class AggregationTrace:
-    """Bookkeeping needed to backpropagate through aggregation.
-
-    agent_order[..., i, m] is the marginal mode index paired into joint
-    pairing m for agent i; emit_order[..., k] is the pairing index emitted as
-    output mode k (descending scene logit).
-    """
-
-    agent_order: np.ndarray  # (..., A, K) int
-    emit_order: np.ndarray   # (..., K) int
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -49,7 +34,8 @@ def aggregate_to_joint(pred: MarginalPrediction,
 
     Output modes are emitted in descending scene-logit order. Trajectories
     are regrouped but numerically untouched. Leading axes of pred stack
-    scenes and are kept.
+    scenes and are kept. With return_trace, also returns source (..., A, K):
+    source[..., i, k] is agent i's marginal mode in joint mode k.
     """
     # each agent's modes, most likely first; equal logits keep index order
     order = np.argsort(-pred.logits, axis=-1, kind="stable")         # (..., A, K)
@@ -64,23 +50,22 @@ def aggregate_to_joint(pred: MarginalPrediction,
     joint = JointModeSet(modes=modes, scene_logits=scene_logits,
                          scene_probs=softmax(scene_logits))
     if return_trace:
-        return joint, AggregationTrace(agent_order=order, emit_order=emit)
+        return joint, source
     return joint
 
 
 def scene_logit_grad_to_agent_logits(d_scene_logits: np.ndarray,
-                                     trace: AggregationTrace) -> np.ndarray:
+                                     source: np.ndarray) -> np.ndarray:
     """Push a gradient on emitted scene logits back onto per-agent logits.
 
-    The pairing and emission permutations are treated as constant; each
-    paired agent logit receives 1/A of its pairing's scene-logit gradient.
+    source is aggregate_to_joint's marginal-mode index (..., A, K). The
+    pairing and emission permutations are treated as constant; each paired
+    agent logit receives 1/A of its joint mode's scene-logit gradient.
     """
-    d_pairing = np.zeros(trace.emit_order.shape)
-    np.put_along_axis(d_pairing, trace.emit_order,
-                      np.asarray(d_scene_logits, dtype=np.float64), -1)
-    d_agent = np.zeros(trace.agent_order.shape)
-    np.put_along_axis(d_agent, trace.agent_order,
-                      d_pairing[..., None, :] / trace.agent_order.shape[-2], -1)
+    d_agent = np.zeros(source.shape)
+    np.put_along_axis(d_agent, source,
+                      np.asarray(d_scene_logits, dtype=np.float64)[..., None, :]
+                      / source.shape[-2], -1)
     return d_agent
 
 

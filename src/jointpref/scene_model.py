@@ -21,7 +21,8 @@ class SceneFileError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A logit, loss or parameter that must be finite is not."""
+    """A logit, loss or parameter that must be finite is not, or a training
+    loss runs away toward it."""
 
 
 _TRACKS = ("past_positions", "past_velocities", "past_yaws")
@@ -188,8 +189,9 @@ def read_scenes(path) -> tuple[list[Scene], dict]:
     """Read a scene file; returns (scenes, header).
 
     Raises SceneFileError naming the offending line on malformed records,
-    invalid scenes, scenes whose horizons differ from the header, or
-    unknown schema versions. An empty file yields no scenes.
+    invalid scenes, scenes whose horizons differ from the header or whose
+    agent count differs from the first scene's, or unknown schema versions.
+    An empty file yields no scenes.
     """
     scenes: list[Scene] = []
     header: dict = {}
@@ -224,5 +226,10 @@ def read_scenes(path) -> tuple[list[Scene], dict]:
                     f"line {lineno}: scene {scene.scene_id} has horizons "
                     f"{scene.t_obs}/{scene.t_fut}, the header has "
                     f"{header.get('t_obs')}/{header.get('t_fut')}")
+            if scenes and scene.num_agents != scenes[0].num_agents:
+                raise SceneFileError(
+                    f"line {lineno}: scene {scene.scene_id} has "
+                    f"{scene.num_agents} agents, scene {scenes[0].scene_id} "
+                    f"has {scenes[0].num_agents}")
             scenes.append(scene)
     return scenes, header

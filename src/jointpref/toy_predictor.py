@@ -39,6 +39,8 @@ VEL_SCALE = 0.1   # keeps velocity features O(1)
 POS_SCALE = 0.1   # keeps centroid-relative positions O(1)
 
 CHECKPOINT_VERSION = 1
+# an epoch's mean loss above this multiple of the first epoch's is divergence
+DIVERGENCE_RATIO = 1e6
 
 
 @dataclass
@@ -191,35 +193,21 @@ def backward(params: dict, cache: tuple, d_logits: np.ndarray,
     None (their gradient would be exactly zero).
 
     Each (B, ...) stack of per-scene gradients is summed in scene order as
-    soon as it is made, so one stack is alive at a time.
-
-    Under winner-takes-all an agent's trajectory gradient lives in one
-    mode, so Wtraj's part of dz is contracted per mode over that mode's
-    live (scene, agent) rows only, or over the whole slice when every row
-    is live (the direct cost). The modes are added onto +0 in mode order,
-    and the result is added to the logit path's dz in one sum. That is the
-    order of the full "bako,kco->bac" einsum: numpy's einsum (2.4.6)
-    reduces one mode's O terms per inner loop and adds the modes in order,
-    and a dead row's +-0 leaves a sum that started at +0 unchanged. The
-    tests pin the bits."""
+    soon as it is made, so one stack is alive at a time, and each sum is
+    made a batch mean at the end. _accumulate makes the two Wtraj terms
+    from the live part of d_off: Wtraj's gradient sum, and Wtraj's part of
+    dz, which is added to the logit path's dz in one sum, as the full
+    "bako,kco->bac" einsum's result was. The tests pin the bits."""
     hidden = params["_meta"]["hidden"]
     f, h1, e, m, s, z = cache
     a = z.shape[1]
     sums = {"Wl": (z.swapaxes(1, 2) @ d_logits).sum(axis=0),
             "bl": d_logits.sum(axis=1).sum(axis=0)}
     dz = d_logits @ params["Wl"].T
-    d_off = None
     if d_trajs is not None:
         d_off = d_trajs.reshape(*d_trajs.shape[:3], -1)    # (B, A, K, O)
         sums["btraj"] = d_off.sum(axis=1).sum(axis=0)
-        live = d_off.any(axis=3)                           # (B, A, K)
-        dz_off = np.zeros_like(dz)
-        for k in np.flatnonzero(live.any(axis=(0, 1))):
-            rows, w_k = live[:, :, k], params["Wtraj"][k]
-            if rows.all():
-                dz_off += np.einsum("bao,co->bac", d_off[:, :, k], w_k)
-            else:
-                dz_off[rows] += np.einsum("no,co->nc", d_off[rows, k], w_k)
+        dz_off, sums["Wtraj"] = _accumulate(params, z, d_off)
         dz = dz + dz_off
 
     de = dz[..., :hidden].copy()
@@ -236,47 +224,56 @@ def backward(params: dict, cache: tuple, d_logits: np.ndarray,
     dpre_h1 = dh1 * (1.0 - h1 * h1)
     sums["W1"] = (f.swapaxes(1, 2) @ dpre_h1).sum(axis=0)
     sums["b1"] = dpre_h1.sum(axis=1).sum(axis=0)
-    return _accumulate(params, sums, z, d_off)
-
-
-def _accumulate(params: dict, sums: dict, z: np.ndarray,
-                d_off: np.ndarray | None) -> dict:
-    """Batch mean of a block's gradients: sums holds the in-order scene sums
-    of all but Wtraj, whose sum over scenes b of z[b]^T d_off[b] is made
-    here from the live part of d_off only. Per mode, only the scenes with a
-    nonzero d_off slice and, among them, the offset columns with a nonzero
-    entry are contracted: under winner-takes-all most slices are dead, and
-    the direct-cost gradient touches few columns.
-
-    A mode that some scene gives to two live agents (always, under the
-    direct cost) is summed per scene: one einsum adds each scene's agents
-    in order, as a per-scene einsum does, and the (live B, O, 2H) stack is
-    summed over scenes in order. In a mode that no scene shares, each
-    scene's term is one agent's exact outer product, the others adding
-    +-0, so one "bao,bac->oc" einsum gives the same bits without the
-    stack: numpy's einsum (2.4.6) adds its rounded products one at a time,
-    scenes in order. Either sum is added onto +0. The bits equal the sum
-    over every slice and column: a dead one's term is +-0, and adding it
-    to a sum that started at +0 leaves the sum unchanged. The tests pin
-    both paths."""
-    mean = dict(sums)
-    if d_off is not None:
-        mean["Wtraj"] = np.zeros_like(params["Wtraj"])
-        live = d_off.any(axis=(1, 3))                      # (B, K)
-        for k in np.flatnonzero(live.any(axis=0)):
-            d_k = d_off[live[:, k], :, k]                  # (live B, A, O)
-            cols = np.flatnonzero(d_k.any(axis=(0, 1)))
-            d_k, z_k = d_k[:, :, cols], z[live[:, k]]
-            # the longer 2H axis runs innermost
-            if d_k.any(axis=2).sum(axis=1).max() == 1:     # no scene shares k
-                mean["Wtraj"][k][:, cols] += np.einsum(
-                    "bao,bac->oc", d_k, z_k).T
-            else:                                          # (live B, O, 2H)
-                mean["Wtraj"][k][:, cols] += np.einsum(
-                    "bao,bac->boc", d_k, z_k).sum(axis=0).T
-    for grad in mean.values():
+    for grad in sums.values():
         grad /= len(z)
-    return mean
+    return sums
+
+
+def _accumulate(params: dict, z: np.ndarray, d_off: np.ndarray):
+    """The Wtraj terms of a block's backward pass, from the live part of
+    d_off (B, A, K, O) only: Wtraj's part of dz (B, A, 2H), and the sum over
+    scenes b of z[b]^T d_off[b] (Wtraj's gradient before the batch mean).
+
+    One (B, A, K) mask marks the (scene, agent, mode) rows with a nonzero
+    d_off slice, and one loop visits the modes that some row reaches, in
+    mode order: under winner-takes-all most rows are dead, and the
+    direct-cost gradient touches every row but few offset columns.
+
+    dz: a mode's live rows are contracted in one "no,co->nc" einsum and
+    added onto their rows of dz's offset part, which starts at +0. That is
+    the order of the full "bako,kco->bac" einsum: numpy's einsum (2.4.6)
+    reduces one mode's O terms per inner loop and adds the modes in order,
+    and a dead row's +-0 leaves a sum that started at +0 unchanged.
+
+    Wtraj: per mode, only the live scenes and, among them, the offset
+    columns with a nonzero entry are contracted. A mode that some scene
+    gives to two live agents (always, under the direct cost) is summed per
+    scene: one einsum adds each scene's agents in order, as a per-scene
+    einsum does, and the (live B, O, 2H) stack is summed over scenes in
+    order. In a mode that no scene shares, each scene's term is one
+    agent's exact outer product, the others adding +-0, so one
+    "bao,bac->oc" einsum gives the same bits without the stack: numpy's
+    einsum adds its rounded products one at a time, scenes in order.
+    Either sum is added onto +0, so the bits equal the sum over every slice
+    and column. The tests pin both sides."""
+    wtraj = params["Wtraj"]
+    dz_off = np.zeros_like(z)
+    d_wtraj = np.zeros_like(wtraj)
+    live = d_off.any(axis=3)                               # (B, A, K)
+    for k in np.flatnonzero(live.any(axis=(0, 1))):
+        rows = live[:, :, k]                               # (B, A)
+        d_rows = d_off[rows, k]                            # (live rows, O)
+        dz_off[rows] += np.einsum("no,co->nc", d_rows, wtraj[k])
+        scenes = rows.any(axis=1)
+        cols = np.flatnonzero(d_rows.any(axis=0))
+        d_k, z_k = d_off[scenes, :, k][:, :, cols], z[scenes]
+        # the longer 2H axis runs innermost
+        if rows.sum(axis=1).max() == 1:                    # no scene shares k
+            d_wtraj[k][:, cols] += np.einsum("bao,bac->oc", d_k, z_k).T
+        else:                                              # (live B, O, 2H)
+            d_wtraj[k][:, cols] += np.einsum(
+                "bao,bac->boc", d_k, z_k).sum(axis=0).T
+    return dz_off, d_wtraj
 
 
 def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
@@ -324,13 +321,13 @@ def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
                      repeller: RepellerParams):
     """Listwise loss and top/bottom reward gap per scene; batch-mean grads."""
     trajs, logits, cache = forward(params, block, cache=True)
-    joint, trace = aggregate_to_joint(MarginalPrediction(trajs, logits),
-                                      return_trace=True)
+    joint, source = aggregate_to_joint(MarginalPrediction(trajs, logits),
+                                       return_trace=True)
     tau = preference_cost(joint, block.futures, lam=config.lam,
                           repeller_params=repeller).ranking
     losses = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
     d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
-    d_logits = scene_logit_grad_to_agent_logits(d_scene, trace)
+    d_logits = scene_logit_grad_to_agent_logits(d_scene, source)
     rewards = config.simpo.beta * log_softmax(joint.scene_logits)
     ends = np.take_along_axis(rewards, tau[:, [0, -1]], 1)
     return losses, backward(params, cache, d_logits, None), ends[:, 0] - ends[:, 1]
@@ -340,13 +337,11 @@ def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
                       repeller: RepellerParams):
     """Direct preference-cost loss per scene; batch-mean grads via offsets."""
     trajs, logits, cache = forward(params, block, cache=True)
-    joint, trace = aggregate_to_joint(MarginalPrediction(trajs, logits),
-                                      return_trace=True)
+    joint, source = aggregate_to_joint(MarginalPrediction(trajs, logits),
+                                       return_trace=True)
     losses, d_modes = direct_cost_loss(joint, block.futures, lam=lam,
                                        repeller_params=repeller)
-    # mode k, agent j came from marginal mode agent_order[b, j, emit_order[b, k]]
-    source = np.take_along_axis(trace.agent_order,
-                                trace.emit_order[:, None, :], 2)   # (B, A, K)
+    # mode k, agent i came from agent i's marginal mode source[b, i, k]
     d_trajs = np.zeros_like(trajs)
     np.put_along_axis(d_trajs, source[..., None, None],
                       d_modes.swapaxes(1, 2), 2)
@@ -359,8 +354,9 @@ def train(params: dict, block: SceneBlock, config: TrainConfig,
     per-epoch history dict.
 
     NonFiniteError naming the epoch when a step meets a non-finite logit,
-    an epoch's mean loss is not finite, or a parameter is not finite at the
-    end; the checks add no work per step."""
+    an epoch's mean loss is not finite or above DIVERGENCE_RATIO times the
+    first epoch's (the losses are nonnegative), or a parameter is not finite
+    at the end; the checks add no work per step."""
     repeller = repeller or RepellerParams()
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed & 0xFFFFFFFF, 23]))
@@ -391,6 +387,12 @@ def train(params: dict, block: SceneBlock, config: TrainConfig,
         epoch_loss = float(np.mean(losses))
         if not np.isfinite(epoch_loss):
             raise NonFiniteError(f"epoch {epoch}: loss {epoch_loss}")
+        if history["epoch_loss"] and (
+                epoch_loss > DIVERGENCE_RATIO * history["epoch_loss"][0]):
+            raise NonFiniteError(
+                f"epoch {epoch}: loss {epoch_loss:.4g} is over "
+                f"{DIVERGENCE_RATIO:g} times epoch 0's "
+                f"{history['epoch_loss'][0]:.4g}")
         history["epoch_loss"].append(epoch_loss)
         if gaps:
             history["epoch_reward_gap"].append(float(np.mean(gaps)))

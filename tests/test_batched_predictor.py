@@ -9,8 +9,9 @@ gradient.
 
 The training step's exact paths rest on the order in which numpy's einsum
 sums each contraction, so every path is pinned here: forward's flattened
-Wtraj contraction, backward's per-mode dz, both ways _accumulate sums a
-mode, and the in-place SGD update.
+Wtraj contraction, _accumulate's per-mode dz over a mode's live rows (some
+or all of them), both ways it sums a mode's Wtraj gradient, and the
+in-place SGD update.
 """
 
 import os
@@ -183,13 +184,12 @@ def simpo_ref(params, scene, config, repeller):
 
 def direct_ref(params, scene, lam, repeller):
     pred, cache = forward_ref(params, scene)
-    joint, trace = aggregate_to_joint(pred, return_trace=True)
+    joint, source = aggregate_to_joint(pred, return_trace=True)
     loss, d_modes = direct_cost_loss(joint, scene.ground_truth_futures,
                                      lam=lam, repeller_params=repeller)
     d_trajs = np.zeros_like(pred.trajectories)
     rows = np.arange(pred.logits.shape[0])[:, None]
-    d_trajs[rows, trace.agent_order[:, trace.emit_order]] = \
-        d_modes.swapaxes(0, 1)
+    d_trajs[rows, source] = d_modes.swapaxes(0, 1)
     grads = backward_ref(params, cache, np.zeros_like(pred.logits), d_trajs)
     return loss, grads, None
 

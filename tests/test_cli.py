@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import platform
 import shutil
 import warnings
 
@@ -166,6 +168,12 @@ class TestPipeline:
         assert manifest["peak_rss_mb"] > 0
         assert manifest["config_hash"]
         assert manifest["config"]["n_train"] == 40
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            assert env[var] == os.environ.get(var)
 
     def test_single_checkpoint_eval(self, tmp_path):
         assert run(tmp_path, "gen") == EXIT_OK
@@ -483,7 +491,7 @@ class TestMisuse:
             0, float("nan")), "line 4: ", "has a non-finite value"),
         (lambda rec: rec.update(agents=rec["agents"][:1],
                                 futures=rec["futures"][:1]),
-         "", "has 1 agents"),
+         "line 4: ", "has 1 agents"),
         (lambda rec: rec.update(futures=[f[:-1] for f in rec["futures"]]),
          "line 4: ", "has horizons 10/29, the header has 10/30"),
         (lambda rec: rec["agents"][0]["past_yaws"].__setitem__(2, 7.0),
@@ -556,7 +564,8 @@ def runtime_warnings(caught):
 
 
 class TestDiverged:
-    """A training stage whose loss or logits stop being finite exits 4,
+    """A training stage whose loss or logits stop being finite, or whose
+    epoch loss passes DIVERGENCE_RATIO times the first epoch's, exits 4,
     naming the stage and epoch, with no numpy warning before that line,
     and writes no checkpoint, history or manifest."""
 
@@ -568,6 +577,22 @@ class TestDiverged:
                        sets=[("pretrain_lr", "1e300")]) == EXIT_VALIDATION
         assert "pretrain diverged at epoch 0: logits must be finite" in \
             capsys.readouterr().err
+        assert runtime_warnings(caught) == []
+        for name in ("pretrained.npz", "pretrain_history.json",
+                     "pretrain_manifest.json"):
+            assert not (tmp_path / name).exists()
+
+    def test_pretrain_with_exploding_finite_loss(self, tmp_path, capsys):
+        # every loss stays finite: 19.77 at epoch 0, 2.36e7 at epoch 2
+        assert run(tmp_path, "gen") == EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(tmp_path, "pretrain",
+                       sets=[("pretrain_lr", "50"),
+                             ("pretrain_epochs", "10")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "pretrain diverged at epoch 2: loss 2.359e+07 is over 1e+06 " \
+            "times epoch 0's 19.77" in err
         assert runtime_warnings(caught) == []
         for name in ("pretrained.npz", "pretrain_history.json",
                      "pretrain_manifest.json"):

@@ -41,19 +41,20 @@ class TestSoftmax:
                                    atol=1e-12)
 
 
-def agent_order(pred):
-    """Each agent's mode indices from most to least likely."""
-    return aggregate_to_joint(pred, return_trace=True)[1].agent_order
+def source_of(pred):
+    """Each agent's marginal mode in each joint mode, (A, K)."""
+    return aggregate_to_joint(pred, return_trace=True)[1]
 
 
 class TestRankMarginalModes:
+    # one agent's joint modes are its own modes from most to least likely
     def test_descending_order(self):
         pred = make_pred([[2.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(agent_order(pred), [[0, 2, 1]])
+        np.testing.assert_array_equal(source_of(pred), [[0, 2, 1]])
 
     def test_ties_keep_lower_index_first(self):
         pred = make_pred([[1.0, 1.0, 0.5]])
-        np.testing.assert_array_equal(agent_order(pred), [[0, 1, 2]])
+        np.testing.assert_array_equal(source_of(pred), [[0, 1, 2]])
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -61,8 +62,7 @@ class TestRankMarginalModes:
         rng = np.random.default_rng(seed)
         a, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
         pred = make_pred(rng.normal(size=(a, k)))
-        order = agent_order(pred)
-        for row in order:
+        for row in source_of(pred):
             assert sorted(row) == list(range(k))
 
 
@@ -110,10 +110,7 @@ class TestAggregateToJoint:
 
     def test_trace_records_permutations(self):
         pred = make_pred([[2.0, 0.0, 1.0], [0.5, 1.5, -1.0]])
-        _, trace = aggregate_to_joint(pred, return_trace=True)
-        np.testing.assert_array_equal(trace.agent_order,
-                                      [[0, 2, 1], [1, 0, 2]])
-        np.testing.assert_array_equal(trace.emit_order, [0, 1, 2])
+        np.testing.assert_array_equal(source_of(pred), [[0, 2, 1], [1, 0, 2]])
 
 
 class TestGradientRouting:
@@ -128,9 +125,9 @@ class TestGradientRouting:
                 continue
             trajs = np.zeros((a, k, 2, 2))
             pred = make_pred(logits, trajs)
-            joint, trace = aggregate_to_joint(pred, return_trace=True)
+            joint, source = aggregate_to_joint(pred, return_trace=True)
             d_scene = rng.normal(size=k)
-            d_agent = scene_logit_grad_to_agent_logits(d_scene, trace)
+            d_agent = scene_logit_grad_to_agent_logits(d_scene, source)
             h = 1e-6
             for _ in range(5):
                 i, m = int(rng.integers(a)), int(rng.integers(k))
@@ -145,8 +142,8 @@ class TestGradientRouting:
 
     def test_each_agent_gets_equal_share(self):
         pred = make_pred([[1.0, 0.0], [3.0, -1.0], [0.2, 0.1]])
-        _, trace = aggregate_to_joint(pred, return_trace=True)
-        d_agent = scene_logit_grad_to_agent_logits(np.array([1.0, 0.0]), trace)
+        _, source = aggregate_to_joint(pred, return_trace=True)
+        d_agent = scene_logit_grad_to_agent_logits(np.array([1.0, 0.0]), source)
         assert np.count_nonzero(d_agent) == 3
         assert np.allclose(d_agent[d_agent != 0], 1 / 3)
 

@@ -175,9 +175,27 @@ class TestRoundTrip:
         data = path.read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "552ce997444899a351fef94c88a977bb045000c15a7e2ecc34ef81ebfa7eabc4")
-        again = tmp_path / "again.jsonl"
-        write_scenes(again, read_scenes(path)[0], t_obs=6, t_fut=12)
-        assert again.read_bytes() == data
+        # a file that is read holds one agent count, so each count's scenes
+        # are written alone, to the pinned lines, and read back exactly
+        other = next(i for i, scene in enumerate(scenes)
+                     if scene.num_agents != scenes[0].num_agents)
+        with pytest.raises(SceneFileError, match=(
+                f"line {other + 2}: scene {scenes[other].scene_id} has "
+                f"{scenes[other].num_agents} agents, scene "
+                f"{scenes[0].scene_id} has {scenes[0].num_agents}")):
+            read_scenes(path)
+        lines = data.decode().splitlines(keepends=True)
+        for count in (2, 3):
+            group = [i for i, scene in enumerate(scenes)
+                     if scene.num_agents == count]
+            assert group
+            once, again = (tmp_path / f"{count}{name}.jsonl"
+                           for name in ("once", "again"))
+            write_scenes(once, [scenes[i] for i in group], t_obs=6, t_fut=12)
+            assert once.read_text().splitlines(keepends=True) == \
+                [lines[0]] + [lines[1 + i] for i in group]
+            write_scenes(again, read_scenes(once)[0], t_obs=6, t_fut=12)
+            assert again.read_bytes() == once.read_bytes()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

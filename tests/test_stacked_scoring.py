@@ -77,12 +77,13 @@ def case(request):
     b, k, a = request.param
     trajs, logits, gt, rng = make_case(b, k, a)
     pred = MarginalPrediction(trajs, logits)
-    joint, trace = aggregate_to_joint(pred, return_trace=True)
+    joint, source = aggregate_to_joint(pred, return_trace=True)
     singles = [aggregate_to_joint(MarginalPrediction(trajs[i], logits[i]),
                                   return_trace=True) for i in range(b)]
     return {"trajs": trajs, "logits": logits, "gt": gt, "rng": rng,
-            "joint": joint, "trace": trace,
-            "joints": [j for j, _ in singles], "traces": [t for _, t in singles]}
+            "joint": joint, "source": source,
+            "joints": [j for j, _ in singles],
+            "sources": [s for _, s in singles]}
 
 
 def fields(joint):
@@ -90,17 +91,27 @@ def fields(joint):
 
 
 def test_aggregation(case):
-    joint, trace = case["joint"], case["trace"]
+    joint = case["joint"]
     assert joint.modes.flags.c_contiguous
-    each_scene(fields(joint) + (trace.agent_order, trace.emit_order),
-               lambda j, t: fields(j) + (t.agent_order, t.emit_order),
-               case["joints"], case["traces"])
+    each_scene(fields(joint) + (case["source"],),
+               lambda j, s: fields(j) + (s,), case["joints"], case["sources"])
+
+
+def test_source_names_each_joint_modes_origin(case):
+    """Joint mode k's agent i is agent i's marginal mode source[..., i, k],
+    bit for bit, and each agent's row of source permutes its K modes."""
+    modes, source, trajs = case["joint"].modes, case["source"], case["trajs"]
+    b, a, k = source.shape
+    for scene, i in np.ndindex(b, a):
+        assert sorted(source[scene, i]) == list(range(k))
+        for m in range(k):
+            same(modes[scene, m, i], trajs[scene, i, source[scene, i, m]])
 
 
 def test_logit_grad_to_agents(case):
     d_scene = case["rng"].normal(size=case["joint"].scene_logits.shape)
-    each_scene(scene_logit_grad_to_agent_logits(d_scene, case["trace"]),
-               scene_logit_grad_to_agent_logits, d_scene, case["traces"])
+    each_scene(scene_logit_grad_to_agent_logits(d_scene, case["source"]),
+               scene_logit_grad_to_agent_logits, d_scene, case["sources"])
 
 
 def test_select_top_modes(case):
