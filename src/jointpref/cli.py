@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fnmatch
 import hashlib
 import json
 import os
@@ -43,12 +44,7 @@ from .preference_ranking import (
     extract_preference_subset,
     preference_cost,
 )
-from .scene_model import (
-    MarginalPrediction,
-    NonFiniteError,
-    read_scenes,
-    write_scenes,
-)
+from .scene_model import NonFiniteError, read_scenes, write_scenes
 from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
 from .toy_predictor import HIDDEN, TrainConfig
 
@@ -242,9 +238,12 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
         json.dumps(manifest, indent=2) + "\n")
 
 
-def _require(path: Path, step: str) -> Path:
+def _require(path: Path, step: str | None) -> Path:
+    """path if it exists; else MissingArtifact naming the stage that writes
+    it, when one does."""
     if not path.exists():
-        raise MissingArtifact(f"missing {path.name}; run '{step}' first")
+        raise MissingArtifact(f"missing {path.name}"
+                              + (f"; run '{step}' first" if step else ""))
     return path
 
 
@@ -329,13 +328,13 @@ def _train(stage: str, params, split, tc: TrainConfig, out, history_path,
 
 
 def _predict_joints(params, split, batch_size: int):
-    """Yield (block, joint mode stack) for each batch_size chunk of a split;
-    one forward per chunk keeps memory flat in the split size."""
+    """Yield (ids, futures, joint mode stack) for each batch_size chunk of a
+    split; one forward per chunk keeps memory flat in the split size."""
     for start in range(0, len(split.ids), batch_size):
         block = toy_predictor.SceneBlock(
             *(x[start:start + batch_size] for x in split))
-        trajs, logits = toy_predictor.forward(params, block)
-        yield block, aggregate_to_joint(MarginalPrediction(trajs, logits))
+        yield (block.ids, block.futures,
+               aggregate_to_joint(*toy_predictor.forward(params, block))[0])
 
 
 def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
@@ -343,11 +342,11 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
     params = _load_params(cfg, ckpt)
     econfig = cfg.extraction()
     kept, summary = [], ExtractionSummary(0, 0, 0, 0)
-    for block, joints in _predict_joints(params, split, cfg.batch_size):
-        records = preference_cost(joints, block.futures, lam=cfg.lam,
+    for ids, futures, joints in _predict_joints(params, split, cfg.batch_size):
+        records = preference_cost(joints, futures, lam=cfg.lam,
                                   repeller_params=cfg.repeller())
         chunk_kept, chunk_summary = extract_preference_subset(
-            block.ids, joints, records, econfig)
+            ids, joints, records, econfig)
         kept += chunk_kept
         summary += chunk_summary
     out.write_text("".join(sid + "\n" for sid in kept))
@@ -379,10 +378,8 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
 
 def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
     params = _load_params(cfg, ckpt)
-    joints = (joint for _, joint in _predict_joints(params, split,
-                                                    cfg.batch_size))
     return eval_metrics.evaluate_dataset(
-        split.ids, split.futures, joints, top_n=cfg.top_n,
+        _predict_joints(params, split, cfg.batch_size), top_n=cfg.top_n,
         threshold=cfg.collision_threshold)
 
 
@@ -396,8 +393,9 @@ def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
         payload = {"before": rb.to_dict(), "after": ra.to_dict(),
                    "comparison": eval_metrics.comparison_report(rb, ra)}
         for name, row in payload["comparison"].items():
+            rel = row["relative_change_percent"]
             print(f"{name:14s} {row['before']:.6f} -> {row['after']:.6f} "
-                  f"({row['relative_change_percent']:+.1f}%)")
+                  f"({'n/a' if rel is None else f'{rel:+.1f}%'})")
     else:
         report, rows = _eval_checkpoint(cfg, split, checkpoints[0])
         payload = {"report": report.to_dict(),
@@ -407,16 +405,21 @@ def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
 
 
 def _eval_checkpoints(cfg: RunConfig, args):
-    """The (path, stage that writes it) checkpoints eval's flags name."""
+    """The (path, stage that writes it or None) checkpoints eval's flags
+    name."""
     if (args.before is None) != (args.after is None):
         raise ConfigError("eval needs --before and --after together")
     if args.checkpoint is not None and args.before is not None:
         raise ConfigError("eval takes --checkpoint or --before/--after, "
                           "not both")
-    if args.before is not None:
-        return (Path(args.before), "pretrain"), (Path(args.after), "finetune")
-    return ((Path(args.checkpoint or Path(cfg.workdir) / "pretrained.npz"),
-             "pretrain"),)
+    paths = ((args.before, args.after) if args.before is not None
+             else (args.checkpoint or Path(cfg.workdir) / "pretrained.npz",))
+    # each with the stage whose output template its file name fits
+    return tuple((path, next((maker for out, maker in MAKER.items()
+                              if fnmatch.fnmatchcase(path.name,
+                                                     out.format(suffix="*"))),
+                             None))
+                 for path in map(Path, paths))
 
 
 class Stage(NamedTuple):
@@ -456,9 +459,9 @@ PIPELINE = ("gen", "pretrain", "extract", "finetune")
 def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
          checkpoints=(), **options) -> int:
     """Run stage `name` in cfg.workdir: require its declared inputs and
-    (path, stage) `checkpoints` (exit 3 naming that stage); keep an existing
-    first output while its manifest matches (exit 2 if it does not) unless
-    --force, else do its work and write its manifest."""
+    (path, stage) `checkpoints` (exit 3 naming the stage, if any); keep an
+    existing first output while its manifest matches (exit 2 if it does
+    not) unless --force, else do its work and write its manifest."""
     stage, workdir = STAGES[name], Path(cfg.workdir)
     inputs = [_require(path, maker) for path, maker in [
         (workdir / f, MAKER[f]) for f in stage.inputs] + list(checkpoints)]

@@ -86,29 +86,25 @@ def scene_metrics(scene_id, joint: JointModeSet, ground_truth: np.ndarray,
     )
 
 
-def evaluate_dataset(scene_ids, ground_truth: np.ndarray, joints,
-                     top_n: int = 6, threshold: float = COLLISION_THRESHOLD_M
+def evaluate_dataset(chunks, top_n: int = 6,
+                     threshold: float = COLLISION_THRESHOLD_M
                      ) -> tuple[MetricsReport, list[SceneMetrics]]:
     """Per-scene metrics over a dataset and their unweighted means.
 
-    scene_ids and the (N, A, T, 2) ground_truth list the dataset's scenes;
-    joints yields their joint mode stacks in the same order, each covering
-    the next run of scenes. Each stack is cut here to its top_n most
-    probable modes, with renormalized probabilities.
+    chunks yields (ids, ground truths, joint mode stack) triples, each
+    covering a run of the dataset's scenes: (B,) ids, (B, A, T, 2) futures
+    and B scenes' joint modes. Each stack is cut here to its top_n most
+    probable modes, with renormalized probabilities. ValueError when chunks
+    is empty.
     """
-    scene_ids = np.asarray(scene_ids, dtype=str)
-    parts, done = [], 0
-    for joint in joints:
+    parts = []
+    for ids, ground_truth, joint in chunks:
         if joint.num_modes >= top_n:
             joint = select_top_modes(joint, top_n)
-        chunk = slice(done, done + len(joint.scene_logits))
-        parts.append(astuple(scene_metrics(scene_ids[chunk], joint,
-                                           ground_truth[chunk], threshold)))
-        done = chunk.stop
-    if done < len(scene_ids):
-        raise KeyError(f"no prediction for scene {scene_ids[done]}")
-    if done > len(scene_ids) or not parts:
-        raise ValueError(f"{done} predictions for {len(scene_ids)} scenes")
+        parts.append(astuple(scene_metrics(ids, joint, ground_truth,
+                                           threshold)))
+    if not parts:
+        raise ValueError("no scenes to evaluate")
     ids, scr, pscr, fde, fde_best = (np.concatenate(p) for p in zip(*parts))
     report = MetricsReport(
         scr=float(np.mean(scr)),
@@ -125,11 +121,13 @@ def evaluate_dataset(scene_ids, ground_truth: np.ndarray, joints,
 
 
 def comparison_report(before: MetricsReport, after: MetricsReport) -> dict:
-    """Before/after table with relative changes, per metric."""
+    """Before/after table with relative changes in percent, per metric;
+    None where the before value is 0."""
     out = {}
     for name in ("scr", "pscr", "min_joint_fde", "avg_fde"):
         b = getattr(before, name)
         a = getattr(after, name)
-        rel = (a - b) / b * 100.0 if b != 0 else float("nan")
+        # no relative change from 0; JSON null, never a bare NaN token
+        rel = (a - b) / b * 100.0 if b != 0 else None
         out[name] = {"before": b, "after": a, "relative_change_percent": rel}
     return out

@@ -35,7 +35,6 @@ class PreferenceRecord:
     repeller: np.ndarray   # (..., K)
     cost: np.ndarray       # (..., K) avg_fde + lam * repeller
     ranking: np.ndarray    # (..., K) permutation, best mode first
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,16 @@ def preference_cost(joint: JointModeSet, ground_truth: np.ndarray,
                     ) -> PreferenceRecord:
     """Cost every mode and rank each scene's modes ascending by cost.
 
-    ground_truth holds one (A, T, 2) future per scene. Ties break toward the
-    higher-probability mode, then the lower mode index.
+    ground_truth holds one (A, T, 2) future per scene. A tie in cost goes
+    to the lower mode index, which JointModeSet's order makes the likelier
+    mode.
     """
     params = repeller_params or RepellerParams()
     fdes = avg_fde(joint.modes, np.expand_dims(ground_truth, -4))
     reps = mode_repeller_cost(joint.modes, params)
     costs = fdes + lam * reps
-    # lexsort keys: last key is primary; -probs prefers likelier modes on
-    # ties, and the sort is stable, so the lower index wins a full tie
-    ranking = np.lexsort((-joint.scene_probs, costs), axis=-1)
     return PreferenceRecord(avg_fde=fdes, repeller=reps, cost=costs,
-                            ranking=ranking, lam=lam)
+                            ranking=np.argsort(costs, axis=-1, kind="stable"))
 
 
 @dataclass(frozen=True)

@@ -70,41 +70,13 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class MarginalPrediction:
-    """Per-agent K trajectories with unnormalized scores, same K for all agents.
-
-    Leading axes stack scenes. Arrays are stored C-contiguous, so a scene's
-    sums run in the same order alone and inside a stack."""
-
-    trajectories: np.ndarray  # (..., A, K, T_fut, 2)
-    logits: np.ndarray        # (..., A, K)
-
-    def __post_init__(self):
-        trajs = np.ascontiguousarray(self.trajectories, dtype=np.float64)
-        logits = np.ascontiguousarray(self.logits, dtype=np.float64)
-        if logits.ndim < 2 or trajs.shape[:-2] != logits.shape:
-            raise ValueError(f"agent/mode shape mismatch: trajectories "
-                             f"{trajs.shape}, logits {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise NonFiniteError("logits must be finite")
-        trajs.setflags(write=False)
-        logits.setflags(write=False)
-        object.__setattr__(self, "trajectories", trajs)
-        object.__setattr__(self, "logits", logits)
-
-    @property
-    def num_agents(self) -> int:
-        return self.logits.shape[-2]
-
-    @property
-    def num_modes(self) -> int:
-        return self.logits.shape[-1]
-
-
-@dataclass(frozen=True)
 class JointModeSet:
-    """K scene-level modes, each pairing one trajectory per agent; leading
-    axes stack scenes, as in MarginalPrediction."""
+    """K scene-level modes, each pairing one trajectory per agent, stored
+    most likely first; leading axes stack scenes.
+
+    NonFiniteError when a scene logit is not finite, ValueError when the
+    scene logits increase along K or the probabilities are no distribution.
+    So a JointModeSet's first n modes are its n most likely."""
 
     modes: np.ndarray         # (..., K, A, T_fut, 2)
     scene_logits: np.ndarray  # (..., K)
@@ -116,6 +88,8 @@ class JointModeSet:
         probs = np.ascontiguousarray(self.scene_probs, dtype=np.float64)
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError("scene logits must be finite")
+        if np.any(logits[..., 1:] > logits[..., :-1]):
+            raise ValueError("scene logits must not increase along K")
         if np.any((abs(probs.sum(axis=-1, keepdims=True) - 1.0) > 1e-9)
                   | (probs < 0) | (probs > 1)):
             raise ValueError("scene_probs must be a distribution")

@@ -2,7 +2,7 @@
 
 Architecture: per-agent history MLP (2 tanh layers, width 64) -> mean-pooled
 social context of the other agents' embeddings (tanh projection) -> K
-trajectory heads emitting residual offsets on a constant-velocity anchor,
+trajectory heads giving residual offsets on a constant-velocity anchor,
 plus a logit head scoring the K modes. All gradients are written out by
 hand so the whole pipeline stays dependency-light and bit-deterministic.
 A split is read into arrays once; the predictor and its losses take (B, A,
@@ -31,7 +31,7 @@ from .mode_aggregation import (
 from .po_losses import SimPOConfig, direct_cost_loss, pl_nll_grad, pl_nll_from_logits
 from .collision_geometry import RepellerParams
 from .preference_ranking import DEFAULT_LAMBDA, preference_cost
-from .scene_model import MarginalPrediction, NonFiniteError, Scene
+from .scene_model import NonFiniteError, Scene
 from .scenegen import DT
 
 HIDDEN = 64
@@ -321,8 +321,7 @@ def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
                      repeller: RepellerParams):
     """Listwise loss and top/bottom reward gap per scene; batch-mean grads."""
     trajs, logits, cache = forward(params, block, cache=True)
-    joint, source = aggregate_to_joint(MarginalPrediction(trajs, logits),
-                                       return_trace=True)
+    joint, source = aggregate_to_joint(trajs, logits)
     tau = preference_cost(joint, block.futures, lam=config.lam,
                           repeller_params=repeller).ranking
     losses = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
@@ -337,8 +336,7 @@ def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
                       repeller: RepellerParams):
     """Direct preference-cost loss per scene; batch-mean grads via offsets."""
     trajs, logits, cache = forward(params, block, cache=True)
-    joint, source = aggregate_to_joint(MarginalPrediction(trajs, logits),
-                                       return_trace=True)
+    joint, source = aggregate_to_joint(trajs, logits)
     losses, d_modes = direct_cost_loss(joint, block.futures, lam=lam,
                                        repeller_params=repeller)
     # mode k, agent i came from agent i's marginal mode source[b, i, k]

@@ -28,7 +28,7 @@ from jointpref.po_losses import (
     pl_nll_from_logits,
     pl_nll_grad,
 )
-from jointpref.scene_model import JointModeSet, MarginalPrediction, read_scenes
+from jointpref.scene_model import JointModeSet, read_scenes
 from jointpref.scenegen import DT
 from jointpref.toy_predictor import forward, load_checkpoint, scene_block
 
@@ -103,7 +103,7 @@ def test_criterion_2_gradient_correctness():
         # keep probes away from the hinge kink and coincident agents
         if np.any(np.abs(off - params.r) < 1e-3) or np.any(off < 1e-3):
             continue
-        logits = rng.normal(size=k)
+        logits = np.sort(rng.normal(size=k))[::-1]   # most likely first
         joint = JointModeSet(modes=modes, scene_logits=logits,
                              scene_probs=softmax(logits))
         _, grad = direct_cost_loss(joint, gt, lam=10.0, repeller_params=params)
@@ -145,10 +145,8 @@ def test_criterion_3_formula_fixtures():
     # softmax oracle
     errs.append(abs(softmax(np.array([1.0, 0.0]))[0] - 0.7310585786300049))
     # aggregation / selection oracle: paired means sorted descending
-    pred = MarginalPrediction(
-        trajectories=np.zeros((2, 3, 1, 2)),
-        logits=np.array([[2.0, 0.0, 1.0], [0.5, 1.5, -1.0]]))
-    joint = aggregate_to_joint(pred)
+    joint, _ = aggregate_to_joint(
+        np.zeros((2, 3, 1, 2)), np.array([[2.0, 0.0, 1.0], [0.5, 1.5, -1.0]]))
     errs.append(float(np.max(np.abs(joint.scene_logits
                                     - np.array([1.75, 0.75, -0.5])))))
     top = select_top_modes(joint, 2)
@@ -183,8 +181,7 @@ def realism_report(workdir: Path, k: int = 6, top_n: int = 6) -> dict:
     pred_speeds = []
     gt_speeds = []
     for scene, t, lg in zip(scenes, trajs, logits):
-        pred = MarginalPrediction(trajectories=t, logits=lg)
-        joint = select_top_modes(aggregate_to_joint(pred), top_n)
+        joint = select_top_modes(aggregate_to_joint(t, lg)[0], top_n)
         min_d = np.inf
         for mode in joint.modes:
             d = pairwise_distances(mode)

@@ -37,7 +37,6 @@ from jointpref.po_losses import (
     pl_nll_grad,
 )
 from jointpref.preference_ranking import preference_cost
-from jointpref.scene_model import MarginalPrediction
 from jointpref.scenegen import DT, ScenarioSpec, generate_scene
 from jointpref.toy_predictor import (
     PARAM_KEYS,
@@ -108,8 +107,8 @@ def forward_ref(params, scene):
     offsets = offsets.reshape(a, k, t_fut, 2)
     trajs = anchors_ref(scene, t_fut)[:, None] + offsets
     logits = z @ params["Wl"] + params["bl"]
-    pred = MarginalPrediction(trajectories=trajs, logits=logits)
-    return pred, {"f": f, "h1": h1, "e": e, "m": m, "s": s, "z": z, "a": a}
+    return (trajs, logits), {"f": f, "h1": h1, "e": e, "m": m, "s": s,
+                             "z": z, "a": a}
 
 
 def backward_ref(params, cache, d_logits, d_trajs):
@@ -147,31 +146,31 @@ def backward_ref(params, cache, d_logits, d_trajs):
 
 
 def pretrain_ref(params, scene):
-    pred, cache = forward_ref(params, scene)
+    (trajs, logits), cache = forward_ref(params, scene)
     gt = scene.ground_truth_futures
-    a, k = pred.logits.shape
+    a, k = logits.shape
     t_fut = gt.shape[1]
-    err = pred.trajectories - gt[:, None]
+    err = trajs - gt[:, None]
     sq = np.sum(err * err, axis=(2, 3))
     winners = np.argmin(sq, axis=1)
-    d_trajs = np.zeros_like(pred.trajectories)
-    d_logits = np.zeros_like(pred.logits)
+    d_trajs = np.zeros_like(trajs)
+    d_logits = np.zeros_like(logits)
     loss = 0.0
     for i in range(a):
         w = winners[i]
         reg = sq[i, w] / t_fut
-        logp = log_softmax(pred.logits[i])
+        logp = log_softmax(logits[i])
         loss += reg - logp[w]
         d_trajs[i, w] = 2.0 * err[i, w] / t_fut / a
-        d_logits[i] = softmax(pred.logits[i]) / a
+        d_logits[i] = softmax(logits[i]) / a
         d_logits[i, w] -= 1.0 / a
     loss /= a
     return loss, backward_ref(params, cache, d_logits, d_trajs), None
 
 
 def simpo_ref(params, scene, config, repeller):
-    pred, cache = forward_ref(params, scene)
-    joint, trace = aggregate_to_joint(pred, return_trace=True)
+    (trajs, logits), cache = forward_ref(params, scene)
+    joint, trace = aggregate_to_joint(trajs, logits)
     tau = preference_cost(joint, scene.ground_truth_futures, lam=config.lam,
                           repeller_params=repeller).ranking
     loss = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
@@ -183,14 +182,14 @@ def simpo_ref(params, scene, config, repeller):
 
 
 def direct_ref(params, scene, lam, repeller):
-    pred, cache = forward_ref(params, scene)
-    joint, source = aggregate_to_joint(pred, return_trace=True)
+    (trajs, logits), cache = forward_ref(params, scene)
+    joint, source = aggregate_to_joint(trajs, logits)
     loss, d_modes = direct_cost_loss(joint, scene.ground_truth_futures,
                                      lam=lam, repeller_params=repeller)
-    d_trajs = np.zeros_like(pred.trajectories)
-    rows = np.arange(pred.logits.shape[0])[:, None]
+    d_trajs = np.zeros_like(trajs)
+    rows = np.arange(logits.shape[0])[:, None]
     d_trajs[rows, source] = d_modes.swapaxes(0, 1)
-    grads = backward_ref(params, cache, np.zeros_like(pred.logits), d_trajs)
+    grads = backward_ref(params, cache, np.zeros_like(logits), d_trajs)
     return loss, grads, None
 
 
@@ -283,9 +282,9 @@ def test_forward_matches_reference_over_a_split():
     scenes = make_scenes(200, seed=3)
     trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
     for scene, t, l in zip(scenes, trajs, logits):
-        pred, _ = forward_ref(params, scene)
-        assert t.tobytes() == pred.trajectories.tobytes()
-        assert l.tobytes() == pred.logits.tobytes()
+        (ref_t, ref_l), _ = forward_ref(params, scene)
+        assert t.tobytes() == ref_t.tobytes()
+        assert l.tobytes() == ref_l.tobytes()
 
 
 def bits(x):
@@ -299,9 +298,9 @@ def test_forward_matches_reference_at_k12(b):
     scenes = make_scenes(b, seed=3)
     trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
     for scene, t, l in zip(scenes, trajs, logits):
-        pred, _ = forward_ref(params, scene)
-        assert np.array_equal(bits(t), bits(pred.trajectories))
-        assert np.array_equal(bits(l), bits(pred.logits))
+        (ref_t, ref_l), _ = forward_ref(params, scene)
+        assert np.array_equal(bits(t), bits(ref_t))
+        assert np.array_equal(bits(l), bits(ref_l))
 
 
 # ---------------------------------------------------------------------------

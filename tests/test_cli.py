@@ -184,6 +184,24 @@ class TestPipeline:
         assert payload["report"]["n_scenes"] == 10
         assert len(payload["per_scene"]) == 10
 
+    def test_zero_before_metric_is_null_and_n_a(self, tmp_path, capsys):
+        # parallel scenes never collide, so SCR and pSCR are 0 before
+        sets = [("crossing_weight", "0"), ("merge_weight", "0"),
+                ("follow_weight", "0"), ("parallel_weight", "1"),
+                ("delta", "0")]
+        for stage in ("gen", "pretrain", "extract", "finetune"):
+            assert run(tmp_path, stage, sets=sets) == EXIT_OK
+        assert run(tmp_path, "eval",
+                   "--before", str(tmp_path / "pretrained.npz"),
+                   "--after", str(tmp_path / "finetuned.npz"),
+                   "--tag", "final", sets=sets) == EXIT_OK
+        text = (tmp_path / "report_final.json").read_text()
+        comparison = json.loads(text, parse_constant=pytest.fail)["comparison"]
+        assert comparison["scr"]["before"] == 0.0
+        assert comparison["scr"]["relative_change_percent"] is None
+        out = capsys.readouterr().out
+        assert "0.000000 -> 0.000000 (n/a)" in out and "nan" not in out
+
     def test_direct_cost_objective_writes_separate_artifact(self, tmp_path):
         assert run(tmp_path, "gen") == EXIT_OK
         assert run(tmp_path, "pretrain") == EXIT_OK
@@ -429,6 +447,24 @@ class TestMisuse:
         assert run(workdir, "eval", *argv, "--tag", "x") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (workdir / "report_x.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--before", "--after"])
+    @pytest.mark.parametrize("name,stage", [
+        ("finetuned_direct.npz", "finetune"), ("finetuned.npz", "finetune"),
+        ("pretrained.npz", "pretrain"), ("other.npz", None)])
+    def test_missing_checkpoint_names_its_stage(self, pretrained, tmp_path,
+                                                capsys, flag, name, stage):
+        workdir = copy_run(pretrained, tmp_path)
+        argv = [flag, str(workdir / "elsewhere" / name)]
+        pair = {"--before": "--after", "--after": "--before"}
+        if flag in pair:   # the other checkpoint of the pair exists
+            argv += [pair[flag], str(workdir / "pretrained.npz")]
+        assert run(workdir, "eval", *argv, "--tag", "x") == EXIT_MISSING
+        err = capsys.readouterr().err
+        if stage is None:   # no stage writes it, so none is named
+            assert err.strip().endswith(f"missing {name}")
+        else:
+            assert f"missing {name}; run '{stage}' first" in err
 
     @pytest.mark.parametrize("key,value", [("k", "4"), ("hidden", "16")])
     def test_checkpoint_shape_differs_from_config(self, pretrained, tmp_path,

@@ -9,16 +9,17 @@ from jointpref.mode_aggregation import (
     select_top_modes,
     softmax,
 )
-from jointpref.scene_model import MarginalPrediction
+from jointpref.preference_ranking import preference_cost
 
 
 def make_pred(logits, trajs=None):
+    """(trajectories, logits) of one scene, as aggregate_to_joint takes."""
     logits = np.asarray(logits, dtype=float)
     a, k = logits.shape
     if trajs is None:
         # distinct values so regrouping mistakes are detectable
         trajs = np.arange(a * k * 3 * 2, dtype=float).reshape(a, k, 3, 2)
-    return MarginalPrediction(trajectories=trajs, logits=logits)
+    return trajs, logits
 
 
 class TestSoftmax:
@@ -43,7 +44,7 @@ class TestSoftmax:
 
 def source_of(pred):
     """Each agent's marginal mode in each joint mode, (A, K)."""
-    return aggregate_to_joint(pred, return_trace=True)[1]
+    return aggregate_to_joint(*pred)[1]
 
 
 class TestRankMarginalModes:
@@ -71,24 +72,25 @@ class TestAggregateToJoint:
         # agent A logits (2, 0, 1), agent B (0.5, 1.5, -1):
         # pairing logits are means of (2,1.5), (1,0.5), (0,-1)
         pred = make_pred([[2.0, 0.0, 1.0], [0.5, 1.5, -1.0]])
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         np.testing.assert_allclose(joint.scene_logits, [1.75, 0.75, -0.5])
         np.testing.assert_allclose(joint.scene_probs,
                                    softmax(np.array([1.75, 0.75, -0.5])))
 
     def test_modes_pair_correct_trajectories(self):
         pred = make_pred([[2.0, 0.0, 1.0], [0.5, 1.5, -1.0]])
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         # top mode pairs agent0 mode 0 with agent1 mode 1
-        np.testing.assert_array_equal(joint.modes[0, 0], pred.trajectories[0, 0])
-        np.testing.assert_array_equal(joint.modes[0, 1], pred.trajectories[1, 1])
-        np.testing.assert_array_equal(joint.modes[2, 0], pred.trajectories[0, 1])
-        np.testing.assert_array_equal(joint.modes[2, 1], pred.trajectories[1, 2])
+        trajs = pred[0]
+        np.testing.assert_array_equal(joint.modes[0, 0], trajs[0, 0])
+        np.testing.assert_array_equal(joint.modes[0, 1], trajs[1, 1])
+        np.testing.assert_array_equal(joint.modes[2, 0], trajs[0, 1])
+        np.testing.assert_array_equal(joint.modes[2, 1], trajs[1, 2])
 
     def test_output_descending_by_scene_logit(self):
         rng = np.random.default_rng(4)
         pred = make_pred(rng.normal(size=(3, 6)))
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         assert np.all(np.diff(joint.scene_logits) <= 0)
         assert np.all(np.diff(joint.scene_probs) <= 0)
 
@@ -96,7 +98,7 @@ class TestAggregateToJoint:
         rng = np.random.default_rng(8)
         trajs = rng.normal(size=(2, 4, 5, 2))
         pred = make_pred(rng.normal(size=(2, 4)), trajs)
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         flat_in = {tuple(trajs[i, k].ravel()) for i in range(2) for k in range(4)}
         flat_out = {tuple(joint.modes[k, i].ravel())
                     for k in range(4) for i in range(2)}
@@ -104,7 +106,7 @@ class TestAggregateToJoint:
 
     def test_single_agent_single_mode(self):
         pred = make_pred([[0.7]])
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         assert joint.scene_logits[0] == pytest.approx(0.7)
         assert joint.scene_probs[0] == pytest.approx(1.0)
 
@@ -125,7 +127,7 @@ class TestGradientRouting:
                 continue
             trajs = np.zeros((a, k, 2, 2))
             pred = make_pred(logits, trajs)
-            joint, source = aggregate_to_joint(pred, return_trace=True)
+            joint, source = aggregate_to_joint(*pred)
             d_scene = rng.normal(size=k)
             d_agent = scene_logit_grad_to_agent_logits(d_scene, source)
             h = 1e-6
@@ -133,16 +135,16 @@ class TestGradientRouting:
                 i, m = int(rng.integers(a)), int(rng.integers(k))
                 lp = logits.copy()
                 lp[i, m] += h
-                jp = aggregate_to_joint(make_pred(lp, trajs))
+                jp, _ = aggregate_to_joint(*make_pred(lp, trajs))
                 lm = logits.copy()
                 lm[i, m] -= h
-                jm = aggregate_to_joint(make_pred(lm, trajs))
+                jm, _ = aggregate_to_joint(*make_pred(lm, trajs))
                 fd = np.dot(d_scene, (jp.scene_logits - jm.scene_logits)) / (2 * h)
                 assert d_agent[i, m] == pytest.approx(fd, abs=1e-6)
 
     def test_each_agent_gets_equal_share(self):
         pred = make_pred([[1.0, 0.0], [3.0, -1.0], [0.2, 0.1]])
-        _, source = aggregate_to_joint(pred, return_trace=True)
+        _, source = aggregate_to_joint(*pred)
         d_agent = scene_logit_grad_to_agent_logits(np.array([1.0, 0.0]), source)
         assert np.count_nonzero(d_agent) == 3
         assert np.allclose(d_agent[d_agent != 0], 1 / 3)
@@ -151,7 +153,7 @@ class TestGradientRouting:
 class TestSelectTopModes:
     def test_keeps_most_probable_and_renormalizes(self):
         pred = make_pred(np.arange(12, dtype=float).reshape(2, 6))
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         top = select_top_modes(joint, 4)
         assert top.num_modes == 4
         np.testing.assert_array_equal(top.scene_logits, joint.scene_logits[:4])
@@ -162,7 +164,7 @@ class TestSelectTopModes:
 
     def test_n_equal_k_is_identity(self):
         pred = make_pred(np.random.default_rng(0).normal(size=(2, 5)))
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         same = select_top_modes(joint, 5)
         np.testing.assert_allclose(same.scene_probs, joint.scene_probs,
                                    atol=1e-12)
@@ -172,7 +174,7 @@ class TestSelectTopModes:
         rng = np.random.default_rng(42)
         pred = make_pred(rng.normal(size=(2, 12)),
                          np.zeros((2, 12, 2, 2)))
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         top = select_top_modes(joint, 6)
         assert top.num_modes == 6
         best = sorted(joint.scene_probs, reverse=True)[:6]
@@ -184,8 +186,51 @@ class TestSelectTopModes:
 
     def test_invalid_n_rejected(self):
         pred = make_pred([[0.0, 1.0]])
-        joint = aggregate_to_joint(pred)
+        joint, _ = aggregate_to_joint(*pred)
         with pytest.raises(ValueError):
             select_top_modes(joint, 0)
         with pytest.raises(ValueError):
             select_top_modes(joint, 3)
+
+
+class TestMostLikelyFirst:
+    """Joint modes come out most likely first, so their readers can take
+    the front of the stack without a sort of their own."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_order_is_built_in(self, seed):
+        rng = np.random.default_rng(seed)
+        b, a, k = int(rng.integers(1, 4)), int(rng.integers(1, 7)), \
+            int(rng.integers(1, 13))
+        if rng.integers(2):   # a coarse grid, so sorts meet ties
+            logits = 0.5 * rng.integers(-2, 3, size=(b, a, k)).astype(float)
+        else:
+            logits = rng.normal(size=(b, a, k))
+        # endpoints on a coarse grid, so costs tie too
+        trajs = rng.integers(-1, 2, size=(b, a, k, 2, 2)).astype(float)
+        gt = rng.integers(-1, 2, size=(b, a, 2, 2)).astype(float)
+        joint, source = aggregate_to_joint(trajs, logits)
+
+        assert np.all(np.diff(joint.scene_logits, axis=-1) <= 0)
+        np.testing.assert_array_equal(
+            source, np.argsort(-logits, axis=-1, kind="stable"))
+
+        for n in range(1, k + 1):
+            top = select_top_modes(joint, n)
+            keep = np.sort(np.argsort(-joint.scene_probs, axis=-1,
+                                      kind="stable")[..., :n], axis=-1)
+            probs = np.take_along_axis(joint.scene_probs, keep, -1)
+            want = (np.take_along_axis(joint.modes,
+                                       keep[..., None, None, None], -4),
+                    np.take_along_axis(joint.scene_logits, keep, -1),
+                    probs / probs.sum(axis=-1, keepdims=True))
+            for got, expected in zip((top.modes, top.scene_logits,
+                                      top.scene_probs), want):
+                assert got.tobytes() == expected.tobytes()
+
+        for lam in (0.0, 1e3):
+            rec = preference_cost(joint, gt, lam=lam)
+            # cost first, then the likelier mode, then the lower index
+            np.testing.assert_array_equal(
+                rec.ranking, np.lexsort((-joint.scene_probs, rec.cost)))

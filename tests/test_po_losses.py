@@ -48,7 +48,8 @@ def pl_nll_grad_loop(scene_logits, ranking, config):
 
 
 def make_joint(modes, logits):
-    logits = np.asarray(logits, dtype=float)
+    # a JointModeSet holds its modes most likely first
+    logits = np.sort(np.asarray(logits, dtype=float))[::-1]
     return JointModeSet(modes=np.asarray(modes, dtype=float),
                         scene_logits=logits, scene_probs=softmax(logits))
 

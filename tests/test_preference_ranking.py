@@ -93,17 +93,17 @@ class TestPreferenceCost:
         rng = np.random.default_rng(21)
         gt = rng.normal(size=(2, 5, 2)) * 10
         modes = rng.normal(size=(6, 2, 5, 2)) * 10
-        joint = make_joint(modes, rng.normal(size=6))
+        joint = make_joint(modes, np.sort(rng.normal(size=6))[::-1])
         rec = preference_cost(joint, gt)
         ranked = rec.cost[rec.ranking]
         assert np.all(np.diff(ranked) >= 0)
 
-    def test_ties_prefer_higher_probability(self):
+    def test_modes_out_of_likelihood_order_rejected(self):
+        # a cost tie goes to the lower index, the likelier mode, only
+        # because a joint mode set cannot be stored in another order
         gt = spaced_modes(1)[0]
-        modes = np.stack([gt, gt, gt])  # identical costs
-        joint = make_joint(modes, logits=np.array([0.0, 2.0, 1.0]))
-        rec = preference_cost(joint, gt)
-        np.testing.assert_array_equal(rec.ranking, [1, 2, 0])
+        with pytest.raises(ValueError, match="increase"):
+            make_joint(np.stack([gt, gt, gt]), np.array([0.0, 2.0, 1.0]))
 
     def test_ties_then_lower_index(self):
         gt = spaced_modes(1)[0]
@@ -132,7 +132,7 @@ class TestPreferenceCost:
         k = int(rng.integers(1, 8))
         gt = rng.normal(size=(2, 4, 2)) * 5
         modes = rng.normal(size=(k, 2, 4, 2)) * 5
-        joint = make_joint(modes, rng.normal(size=k))
+        joint = make_joint(modes, np.sort(rng.normal(size=k))[::-1])
         rec = preference_cost(joint, gt)
         assert sorted(rec.ranking) == list(range(k))
 

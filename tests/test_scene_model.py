@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from jointpref.mode_aggregation import aggregate_to_joint
 from jointpref.scene_model import (
     SCHEMA_VERSION,
     JointModeSet,
-    MarginalPrediction,
+    NonFiniteError,
     Scene,
     SceneFileError,
     read_scenes,
@@ -56,14 +57,13 @@ class TestDataclasses:
         assert scene.ground_truth_futures.shape == (3, 12, 2)
 
     def test_marginal_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MarginalPrediction(trajectories=np.zeros((2, 3, 5, 2)),
-                               logits=np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="agent/mode"):
+            aggregate_to_joint(np.zeros((2, 3, 5, 2)), np.zeros((2, 4)))
 
     def test_marginal_nonfinite_logits_rejected(self):
-        with pytest.raises(ValueError):
-            MarginalPrediction(trajectories=np.zeros((1, 2, 5, 2)),
-                               logits=np.array([[0.0, np.nan]]))
+        with pytest.raises(NonFiniteError):
+            aggregate_to_joint(np.zeros((1, 2, 5, 2)),
+                               np.array([[0.0, np.nan]]))
 
     def test_joint_probs_must_be_distribution(self):
         with pytest.raises(ValueError):

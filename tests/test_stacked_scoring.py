@@ -11,7 +11,6 @@ import pytest
 
 from jointpref.collision_geometry import RepellerParams
 from jointpref.eval_metrics import (
-    evaluate_dataset,
     scene_metrics,
     scene_pscr,
     scene_scr,
@@ -34,7 +33,7 @@ from jointpref.preference_ranking import (
     preference_cost,
     scene_is_preferred,
 )
-from jointpref.scene_model import JointModeSet, MarginalPrediction
+from jointpref.scene_model import JointModeSet, NonFiniteError
 
 T_FUT = 8
 PARAMS = RepellerParams(r=1.0)
@@ -76,10 +75,8 @@ def make_case(b, k, a, seed=0):
 def case(request):
     b, k, a = request.param
     trajs, logits, gt, rng = make_case(b, k, a)
-    pred = MarginalPrediction(trajs, logits)
-    joint, source = aggregate_to_joint(pred, return_trace=True)
-    singles = [aggregate_to_joint(MarginalPrediction(trajs[i], logits[i]),
-                                  return_trace=True) for i in range(b)]
+    joint, source = aggregate_to_joint(trajs, logits)
+    singles = [aggregate_to_joint(trajs[i], logits[i]) for i in range(b)]
     return {"trajs": trajs, "logits": logits, "gt": gt, "rng": rng,
             "joint": joint, "source": source,
             "joints": [j for j, _ in singles],
@@ -193,7 +190,7 @@ def test_non_contiguous_stack(b, k, a):
     """Per-mode sums follow memory order, so a strided view of the modes
     must give the bits of its contiguous copy."""
     trajs, logits, gt, _ = make_case(b, k, a, seed=1)
-    modes = aggregate_to_joint(MarginalPrediction(trajs, logits)).modes
+    modes = aggregate_to_joint(trajs, logits)[0].modes
     view = np.ascontiguousarray(modes.swapaxes(1, 2)).swapaxes(1, 2)
     assert not view.flags.c_contiguous
     probs = np.full((b, k), 1.0 / k)
@@ -204,11 +201,10 @@ def test_non_contiguous_stack(b, k, a):
     for got, want in zip(direct_cost_loss(strided, gt, 1e3, PARAMS),
                          direct_cost_loss(joint, gt, 1e3, PARAMS)):
         same(got, want)
-    marginal = MarginalPrediction(trajs.swapaxes(1, 2).copy().swapaxes(1, 2),
-                                  logits)
-    contiguous = MarginalPrediction(trajs.copy(), logits)
-    for got, want in zip(fields(aggregate_to_joint(marginal)),
-                         fields(aggregate_to_joint(contiguous))):
+    strided_trajs = trajs.swapaxes(1, 2).copy().swapaxes(1, 2)
+    assert not strided_trajs.flags.c_contiguous
+    for got, want in zip(fields(aggregate_to_joint(strided_trajs, logits)[0]),
+                         fields(aggregate_to_joint(trajs.copy(), logits)[0])):
         same(got, want)
 
 
@@ -216,25 +212,21 @@ def test_validation_applies_to_each_scene():
     trajs, logits, _, _ = make_case(3, 6, 2)
     bad = logits.copy()
     bad[2, 1, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        MarginalPrediction(trajs, bad)
-    joint = aggregate_to_joint(MarginalPrediction(trajs, logits))
+    with pytest.raises(NonFiniteError, match="finite"):
+        aggregate_to_joint(trajs, bad)
+    joint, _ = aggregate_to_joint(trajs, logits)
     probs = joint.scene_probs.copy()
     probs[1] *= 1.01
     with pytest.raises(ValueError, match="distribution"):
         JointModeSet(joint.modes, joint.scene_logits, probs)
     with pytest.raises(ValueError, match="agent/mode"):
-        MarginalPrediction(trajs, logits[:, :, :4])
+        aggregate_to_joint(trajs, logits[:, :, :4])
 
 
 def test_stack_length_must_match_scene_list():
     trajs, logits, gt, _ = make_case(3, 6, 2)
-    joint = aggregate_to_joint(MarginalPrediction(trajs, logits))
+    joint, _ = aggregate_to_joint(trajs, logits)
     rec = preference_cost(joint, gt, repeller_params=PARAMS)
     with pytest.raises(ValueError, match="2 ids"):
         extract_preference_subset(["a", "b"], joint, rec,
                                   ExtractionConfig(delta=2.5))
-    one = JointModeSet(joint.modes[:1], joint.scene_logits[:1],
-                       joint.scene_probs[:1])
-    with pytest.raises(ValueError, match="4 predictions for 3 scenes"):
-        evaluate_dataset(["a", "b", "c"], gt, [joint, one])

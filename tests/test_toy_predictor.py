@@ -3,7 +3,7 @@ import pytest
 
 from jointpref.collision_geometry import RepellerParams
 from jointpref.po_losses import SimPOConfig
-from jointpref.scene_model import MarginalPrediction, Scene
+from jointpref.scene_model import Scene
 from jointpref.scenegen import DT, ScenarioSpec, generate_scene
 from jointpref.toy_predictor import (
     PARAM_KEYS,
@@ -45,7 +45,7 @@ def block(*scenes):
 
 def predict(params, scene):
     trajs, logits = forward(params, block(scene))
-    return MarginalPrediction(trajectories=trajs[0], logits=logits[0])
+    return trajs[0], logits[0]
 
 
 def hand_scene(num_agents, seed):
@@ -133,13 +133,13 @@ class TestInitAndForward:
 
     def test_fresh_model_tracks_constant_velocity_anchor(self, params, scenes):
         # offsets start small, so predictions stay near the CV rollout
-        pred = predict(params, scenes[1])
+        trajs, _ = predict(params, scenes[1])
         scene = scenes[1]
         anchors = np.array([
             scene.past_positions[i, -1] + 0.1 * np.arange(1, T_FUT + 1)[:, None]
             * scene.past_velocities[i, -1]
             for i in range(scene.num_agents)])
-        err = np.abs(pred.trajectories - anchors[:, None]).max()
+        err = np.abs(trajs - anchors[:, None]).max()
         assert err < 20.0
 
 
@@ -158,13 +158,14 @@ class TestTranslationInvariance:
         # the trajectories rigidly and touches nothing else
         offset = np.array([123.0, -45.0])
         for scene in scenes:
-            base = predict(params, scene)
-            moved = predict(params, translate_scene(scene, offset))
+            base_trajs, base_logits = predict(params, scene)
+            moved_trajs, moved_logits = predict(
+                params, translate_scene(scene, offset))
             # centroid subtraction reintroduces float rounding, so equality
             # holds to addition roundoff rather than bit-exactly
-            np.testing.assert_allclose(moved.logits, base.logits, atol=1e-9)
+            np.testing.assert_allclose(moved_logits, base_logits, atol=1e-9)
             np.testing.assert_allclose(
-                moved.trajectories, base.trajectories + offset, atol=1e-9)
+                moved_trajs, base_trajs + offset, atol=1e-9)
 
 
 def check_block_gradients(params, blk):
@@ -285,7 +286,7 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
         rep = RepellerParams()
 
-        joint_before = aggregate_to_joint(predict(params, scene))
+        joint_before, _ = aggregate_to_joint(*predict(params, scene))
         rec = preference_cost(joint_before, scene.ground_truth_futures,
                               repeller_params=rep)
         worst = int(rec.ranking[-1])
@@ -293,7 +294,7 @@ class TestTraining:
 
         _, grads, _ = simpo_scene_loss(params, block(scene), cfg, rep)
         sgd_step(params, grads, lr=1e-4)
-        joint_after = aggregate_to_joint(predict(params, scene))
+        joint_after, _ = aggregate_to_joint(*predict(params, scene))
         assert joint_after.scene_probs[worst] <= prob_before + 1e-9
 
     def test_invalid_config_rejected(self):
@@ -321,9 +322,9 @@ class TestLogitHeadIsolation:
                     params[key] = params[key] - 0.05 * grads[key]
         after = [predict(params, s) for s in scenes]
         changed = False
-        for b, a in zip(before, after):
-            np.testing.assert_array_equal(a.trajectories, b.trajectories)
-            changed = changed or not np.array_equal(a.logits, b.logits)
+        for (b_trajs, b_logits), (a_trajs, a_logits) in zip(before, after):
+            np.testing.assert_array_equal(a_trajs, b_trajs)
+            changed = changed or not np.array_equal(a_logits, b_logits)
         assert changed
 
 
@@ -340,10 +341,10 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        p0 = predict(params, scenes[0])
-        p1 = predict(loaded, scenes[0])
-        np.testing.assert_array_equal(p0.trajectories, p1.trajectories)
-        np.testing.assert_array_equal(p0.logits, p1.logits)
+        t0, l0 = predict(params, scenes[0])
+        t1, l1 = predict(loaded, scenes[0])
+        np.testing.assert_array_equal(t0, t1)
+        np.testing.assert_array_equal(l0, l1)
 
     def test_unknown_version_rejected(self, params, tmp_path):
         import json
