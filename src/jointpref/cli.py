@@ -123,6 +123,8 @@ class RunConfig:
         for name in ("n_val", *WEIGHTS):   # a 0 weight leaves a kind out
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if not 0 <= self.pretrain_momentum < 1:
+            raise ConfigError("pretrain_momentum must be in [0, 1)")
         try:   # the parameter dataclasses check their own fields
             specs = self.mixture()
             self.repeller()
@@ -267,7 +269,7 @@ def _read_split(cfg: RunConfig, path: Path,
             scenes = [s for s in scenes if s.scene_id in keep]
             if not scenes:
                 raise MissingArtifact("preference subset is empty")
-        return toy_predictor.scene_block(scenes, cfg.t_obs, cfg.t_fut)
+        return toy_predictor.scene_block(scenes)
     except (OSError, ValueError) as e:
         raise UnreadableArtifact(f"{path}: {e}") from e
 
@@ -306,20 +308,21 @@ def cmd_pretrain(cfg: RunConfig, train_path, out, history_path):
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
                      batch_size=cfg.batch_size, objective="pretrain",
                      momentum=cfg.pretrain_momentum, rng_seed=cfg.seed)
-    return _train(
-        "pretrain", params, split, tc, out, history_path,
-        log_fn=lambda ep, h: print(f"pretrain epoch {ep}: "
-                                   f"loss {h['epoch_loss'][-1]:.4f}"))
+    return _train("pretrain", params, split, tc, out, history_path)
 
 
-def _train(stage: str, params, split, tc: TrainConfig, out, history_path,
-           **options):
-    """Train, then save the checkpoint and history; exit 4 naming the stage
-    and epoch, with nothing saved, when training diverges. Overflow is left
-    to train's non-finite checks, so that line is the only explanation."""
+def _train(stage: str, params, split, tc: TrainConfig, out, history_path):
+    """Train, printing one line per epoch, then save the checkpoint and
+    history; exit 4 naming the stage and epoch, with nothing saved, when
+    training diverges. Overflow is left to train's non-finite checks, so
+    that line is the only explanation."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            history = toy_predictor.train(params, split, tc, **options)
+            history = toy_predictor.train(
+                params, split, tc, log_fn=lambda epoch, h: print(
+                    f"{stage} epoch {epoch}: loss {h['epoch_loss'][-1]:.4f}"
+                    + (f" reward_gap {h['epoch_reward_gap'][-1]:.3f}"
+                       if h["epoch_reward_gap"] else "")))
     except NonFiniteError as e:
         print(f"{stage} diverged at {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -366,14 +369,10 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
     params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
-                     simpo=cfg.simpo(), lam=cfg.lam, rng_seed=cfg.seed)
-    return _train(
-        f"finetune[{objective}]", params, subset, tc, out, history_path,
-        repeller=cfg.repeller(),
-        log_fn=lambda ep, h: print(
-            f"finetune[{objective}] epoch {ep}: loss {h['epoch_loss'][-1]:.4f}"
-            + (f" reward_gap {h['epoch_reward_gap'][-1]:.3f}"
-               if h["epoch_reward_gap"] else "")))
+                     simpo=cfg.simpo(), lam=cfg.lam, repeller=cfg.repeller(),
+                     rng_seed=cfg.seed)
+    return _train(f"finetune[{objective}]", params, subset, tc, out,
+                  history_path)
 
 
 def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
@@ -509,7 +508,8 @@ SWEEPABLE = ("gamma", "lam", "k")
 
 def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> int:
     """Per value, rerun the pipeline from the first stage that reads
-    `param` on copies of the earlier stages' outputs, then evaluate it."""
+    `param` on copies of the earlier stages' outputs, then evaluate it. A
+    failing stage ends the sweep with its exit code and writes no table."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE}")
     if not values:
@@ -538,11 +538,14 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
             src, dst = workdir / name, subdir / name
             if src.exists() and not dst.exists():
                 dst.write_bytes(src.read_bytes())
-        for name in PIPELINE[1:]:   # only gen fails by exit code, not raising
-            _run(sub, force, name)
-        _run(sub, force, "eval", "_final", (
+        stages = [(name, "", ()) for name in PIPELINE[1:]] + [("eval", "_final", (
             (subdir / "pretrained.npz", "pretrain"),
-            (subdir / "finetuned.npz", "finetune")))
+            (subdir / "finetuned.npz", "finetune")))]
+        for name, suffix, checkpoints in stages:
+            code = _run(sub, force, name, suffix, checkpoints)
+            if code:
+                print(f"ablate {param} {value:g}: {name} failed", file=sys.stderr)
+                return code
         rows.append({param: value, **json.loads(
             (subdir / "report_final.json").read_text())})
     out = workdir / f"ablation_{param}.json"

@@ -72,15 +72,17 @@ def mode_repeller_cost(modes: np.ndarray, params: RepellerParams):
                          params.epsilon)
 
 
-def repeller_cost_grad(modes: np.ndarray, params: RepellerParams) -> np.ndarray:
-    """Gradient of mode_repeller_cost with respect to agent positions.
+def repeller_cost_grad(modes: np.ndarray, params: RepellerParams):
+    """(mode_repeller_cost, its gradient with respect to agent positions),
+    both from one pass over the pairwise geometry.
 
     The positive-entry count is piecewise constant and treated as fixed;
     the hinge subgradient at d == r is 0, and coincident agents (d == 0)
     contribute no gradient.
     """
     diff, delta = _pairwise(modes)
-    active = repeller_matrix(delta, params) > 0
+    repeller = repeller_matrix(delta, params)
+    active = repeller > 0
     denom = np.count_nonzero(active, axis=(-3, -2, -1)) + params.epsilon
     # dR/dA[i,j,t] = 1/denom on active entries; dA/dd = -1/r where A > 0.
     safe = np.where(delta > 0, delta, 1.0)
@@ -89,7 +91,8 @@ def repeller_cost_grad(modes: np.ndarray, params: RepellerParams) -> np.ndarray:
                      0.0)                                     # (..., A, A, T)
     # d d_ij/d x_i = unit vector from j to i; both (i,j) and (j,i) slots count.
     contrib = coeff[..., None] * unit                         # (..., A, A, T, 2)
-    return contrib.sum(axis=-3) - contrib.sum(axis=-4)
+    return (repeller_cost(repeller, params.epsilon),
+            contrib.sum(axis=-3) - contrib.sum(axis=-4))
 
 
 def joint_collision_counts(modes: np.ndarray,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision_geometry import RepellerParams, mode_repeller_cost, repeller_cost_grad
+from .collision_geometry import RepellerParams, repeller_cost_grad
 from .mode_aggregation import log_softmax, softmax
 from .scene_model import JointModeSet
 
@@ -102,9 +102,9 @@ def direct_cost_loss(joint: JointModeSet, ground_truth: np.ndarray,
     """Mean preference cost over modes plus its gradient w.r.t. positions.
 
     Returns (loss, grad) with grad shaped like joint.modes, one loss per
-    scene of a stack. The endpoint displacement term is non-differentiable
-    at exact hits; its gradient is taken as 0 there, matching the hinge
-    convention of the repeller.
+    scene of a stack; one repeller_cost_grad pass gives both repeller terms.
+    The endpoint term's gradient is taken as 0 at exact hits, where it has
+    none, matching the hinge convention of the repeller.
     """
     params = repeller_params or RepellerParams()
     modes = joint.modes
@@ -112,10 +112,11 @@ def direct_cost_loss(joint: JointModeSet, ground_truth: np.ndarray,
     k, a = modes.shape[-4], modes.shape[-3]
     end_err = modes[..., -1, :] - gt[..., None, :, -1, :]    # (..., K, A, 2)
     dist = np.linalg.norm(end_err, axis=-1)                  # (..., K, A)
-    costs = dist.mean(axis=-1) + lam * mode_repeller_cost(modes, params)
+    rep_cost, rep_grad = repeller_cost_grad(modes, params)
+    costs = dist.mean(axis=-1) + lam * rep_cost
     # summed in mode order, not pairwise
     loss = np.cumsum(costs, axis=-1)[..., -1] / k
-    grad = lam * repeller_cost_grad(modes, params)
+    grad = lam * rep_grad
     safe = np.where(dist > 0, dist, 1.0)
     grad[..., -1, :] += np.where(dist[..., None] > 0,
                                  end_err / safe[..., None], 0.0) / a

@@ -45,12 +45,15 @@ DIVERGENCE_RATIO = 1e6
 
 @dataclass
 class TrainConfig:
+    """A training stage: its objective and what its step reads."""
+
     learning_rate: float
     epochs: int = 5
     batch_size: int = 16
     objective: str = "simpo"   # pretrain | simpo | direct-cost
     simpo: SimPOConfig = field(default_factory=SimPOConfig)
     lam: float = DEFAULT_LAMBDA
+    repeller: RepellerParams = field(default_factory=RepellerParams)
     momentum: float = 0.0
     rng_seed: int = 0
 
@@ -128,29 +131,20 @@ def _anchors(positions: np.ndarray, velocities: np.ndarray,
             + steps[:, None] * velocities[:, :, -1, None, :])
 
 
-def scene_block(scenes: list[Scene], t_obs: int, t_fut: int) -> SceneBlock:
-    """Scenes of one agent count and the model's horizons, as arrays.
-
-    ValueError naming the scene when the list is empty or a scene's
-    horizons or agent count differ."""
+def scene_block(scenes: list[Scene]) -> SceneBlock:
+    """Scenes of one agent count and one pair of horizons (read_scenes
+    checks both on every line of a split) as arrays; the anchors take the
+    futures' horizon. ValueError when the list is empty."""
     if not scenes:
         raise ValueError("no scenes")
-    first = scenes[0]
-    for scene in scenes:
-        if (scene.t_obs, scene.t_fut) != (t_obs, t_fut):
-            raise ValueError(f"scene {scene.scene_id} horizons {scene.t_obs}/"
-                             f"{scene.t_fut} != model {t_obs}/{t_fut}")
-        if scene.num_agents != first.num_agents:
-            raise ValueError(f"scene {scene.scene_id} has {scene.num_agents} "
-                             f"agents, scene {first.scene_id} has "
-                             f"{first.num_agents}")
     positions = np.array([scene.past_positions for scene in scenes])
     velocities = np.array([scene.past_velocities for scene in scenes])
+    futures = np.array([scene.ground_truth_futures for scene in scenes])
     return SceneBlock(
         features=_features(positions, velocities,
                            np.array([scene.past_yaws for scene in scenes])),
-        anchors=_anchors(positions, velocities, t_fut),
-        futures=np.array([scene.ground_truth_futures for scene in scenes]),
+        anchors=_anchors(positions, velocities, futures.shape[2]),
+        futures=futures,
         ids=np.array([scene.scene_id for scene in scenes], dtype=str))
 
 
@@ -298,8 +292,8 @@ def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.0,
     return velocity
 
 
-def pretrain_scene_loss(params: dict, block: SceneBlock):
-    """Winner-takes-all loss per scene; batch-mean gradient."""
+def pretrain_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
+    """Winner-takes-all loss per scene, batch-mean grads, no gaps."""
     trajs, logits, cache = forward(params, block, cache=True)
     b, a, t_fut, _ = block.futures.shape
     err = trajs - block.futures[:, :, None]               # (B, A, K, T, 2)
@@ -314,16 +308,16 @@ def pretrain_scene_loss(params: dict, block: SceneBlock):
     d_trajs[rows, agents, w] = 2.0 * err[rows, agents, w] / t_fut / a
     d_logits = softmax(logits) / a
     d_logits[rows, agents, w] -= 1.0 / a
-    return losses, backward(params, cache, d_logits, d_trajs)
+    return losses, backward(params, cache, d_logits, d_trajs), None
 
 
-def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
-                     repeller: RepellerParams):
-    """Listwise loss and top/bottom reward gap per scene; batch-mean grads."""
+def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
+    """Listwise loss per scene, batch-mean grads (none for Wtraj, btraj)
+    and top/bottom reward gap per scene."""
     trajs, logits, cache = forward(params, block, cache=True)
     joint, source = aggregate_to_joint(trajs, logits)
     tau = preference_cost(joint, block.futures, lam=config.lam,
-                          repeller_params=repeller).ranking
+                          repeller_params=config.repeller).ranking
     losses = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
     d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
     d_logits = scene_logit_grad_to_agent_logits(d_scene, source)
@@ -332,30 +326,34 @@ def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig,
     return losses, backward(params, cache, d_logits, None), ends[:, 0] - ends[:, 1]
 
 
-def direct_scene_loss(params: dict, block: SceneBlock, lam: float,
-                      repeller: RepellerParams):
-    """Direct preference-cost loss per scene; batch-mean grads via offsets."""
+def direct_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
+    """Direct preference-cost loss per scene, batch-mean grads via offsets,
+    no gaps."""
     trajs, logits, cache = forward(params, block, cache=True)
     joint, source = aggregate_to_joint(trajs, logits)
-    losses, d_modes = direct_cost_loss(joint, block.futures, lam=lam,
-                                       repeller_params=repeller)
+    losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam,
+                                       repeller_params=config.repeller)
     # mode k, agent i came from agent i's marginal mode source[b, i, k]
     d_trajs = np.zeros_like(trajs)
     np.put_along_axis(d_trajs, source[..., None, None],
                       d_modes.swapaxes(1, 2), 2)
-    return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
+    return losses, backward(params, cache, np.zeros_like(logits), d_trajs), None
 
 
 def train(params: dict, block: SceneBlock, config: TrainConfig,
-          repeller: RepellerParams | None = None, log_fn=None) -> dict:
-    """Run one training stage in place on a scene block; returns a
-    per-epoch history dict.
+          log_fn=None) -> dict:
+    """Run one training stage in place on a scene block, calling
+    log_fn(epoch, history) after each epoch; returns the per-epoch history.
+    Each batch is one config.objective step: (params, block, config) ->
+    (per-scene losses, batch-mean grads, per-scene reward gaps or None).
 
     NonFiniteError naming the epoch when a step meets a non-finite logit,
     an epoch's mean loss is not finite or above DIVERGENCE_RATIO times the
     first epoch's (the losses are nonnegative), or a parameter is not finite
     at the end; the checks add no work per step."""
-    repeller = repeller or RepellerParams()
+    # built per call, so a step rebound on this module is the one called
+    step = {"pretrain": pretrain_scene_loss, "simpo": simpo_scene_loss,
+            "direct-cost": direct_scene_loss}[config.objective]
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed & 0xFFFFFFFF, 23]))
     history = {"epoch_loss": [], "epoch_reward_gap": []}
@@ -367,15 +365,9 @@ def train(params: dict, block: SceneBlock, config: TrainConfig,
             for start in range(0, len(block.ids), config.batch_size):
                 rows = order[start:start + config.batch_size]
                 batch = SceneBlock(*(arrays[rows] for arrays in block))
-                if config.objective == "pretrain":
-                    scene_losses, grads = pretrain_scene_loss(params, batch)
-                elif config.objective == "simpo":
-                    scene_losses, grads, scene_gaps = simpo_scene_loss(
-                        params, batch, config, repeller)
+                scene_losses, grads, scene_gaps = step(params, batch, config)
+                if scene_gaps is not None:
                     gaps.extend(scene_gaps)
-                else:
-                    scene_losses, grads = direct_scene_loss(
-                        params, batch, config.lam, repeller)
                 velocity = sgd_step(params, grads, config.learning_rate,
                                     config.momentum, velocity)
                 # scenes summed in order: np.sum adds 8 or more pairwise

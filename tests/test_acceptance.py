@@ -174,9 +174,7 @@ def realism_report(workdir: Path, k: int = 6, top_n: int = 6) -> dict:
     """Collapse fraction and speed statistics of the direct-cost model."""
     scenes, _ = read_scenes(workdir / "val.jsonl")
     params = load_checkpoint(workdir / "finetuned_direct.npz")
-    meta = params["_meta"]
-    trajs, logits = forward(
-        params, scene_block(scenes, meta["t_obs"], meta["t_fut"]))
+    trajs, logits = forward(params, scene_block(scenes))
     collapsed = 0
     pred_speeds = []
     gt_speeds = []

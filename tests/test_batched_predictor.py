@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import jointpref
-from jointpref.collision_geometry import RepellerParams
 from jointpref.mode_aggregation import (
     aggregate_to_joint,
     log_softmax,
@@ -214,13 +213,15 @@ def batch_ref(params, scenes, scene_fn):
 
 CONFIG = TrainConfig(learning_rate=1e-5, objective="simpo",
                      simpo=SimPOConfig(beta=2.0, gamma=5.0))
-REPELLER = RepellerParams()
+DIRECT = TrainConfig(learning_rate=1e-5, objective="direct-cost", lam=10.0)
+# name: (per-scene reference, training step, the step's config)
 OBJECTIVES = {
-    "pretrain": (pretrain_ref, lambda p, b: (*pretrain_scene_loss(p, b), None)),
-    "simpo": (lambda p, s: simpo_ref(p, s, CONFIG, REPELLER),
-              lambda p, b: simpo_scene_loss(p, b, CONFIG, REPELLER)),
-    "direct": (lambda p, s: direct_ref(p, s, 10.0, REPELLER),
-               lambda p, b: (*direct_scene_loss(p, b, 10.0, REPELLER), None)),
+    "pretrain": (pretrain_ref, pretrain_scene_loss,
+                 TrainConfig(learning_rate=1e-5, objective="pretrain")),
+    "simpo": (lambda p, s: simpo_ref(p, s, CONFIG, CONFIG.repeller),
+              simpo_scene_loss, CONFIG),
+    "direct": (lambda p, s: direct_ref(p, s, DIRECT.lam, DIRECT.repeller),
+               direct_scene_loss, DIRECT),
 }
 
 
@@ -242,9 +243,9 @@ def mismatches(objective, b, k):
     """Names of the results where block and reference differ in any bit."""
     params = make_params(k)
     scenes = make_scenes(b, seed=10 * b + k)
-    ref_fn, batched_fn = OBJECTIVES[objective]
+    ref_fn, step, config = OBJECTIVES[objective]
     ref_losses, ref_grads, ref_gaps = batch_ref(params, scenes, ref_fn)
-    losses, grads, gaps = batched_fn(params, scene_block(scenes, T_OBS, T_FUT))
+    losses, grads, gaps = step(params, scene_block(scenes), config)
     bad = [key for key in PARAM_KEYS
            if grads.get(key, np.zeros_like(params[key])).tobytes()
            != ref_grads[key].tobytes()]
@@ -280,7 +281,7 @@ def test_block_matches_reference_on_one_blas_thread():
 def test_forward_matches_reference_over_a_split():
     params = make_params(6)
     scenes = make_scenes(200, seed=3)
-    trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
+    trajs, logits = forward(params, scene_block(scenes))
     for scene, t, l in zip(scenes, trajs, logits):
         (ref_t, ref_l), _ = forward_ref(params, scene)
         assert t.tobytes() == ref_t.tobytes()
@@ -296,7 +297,7 @@ def test_forward_matches_reference_at_k12(b):
     """23 is not a multiple of the default batch size of 16."""
     params = make_params(12)
     scenes = make_scenes(b, seed=3)
-    trajs, logits = forward(params, scene_block(scenes, T_OBS, T_FUT))
+    trajs, logits = forward(params, scene_block(scenes))
     for scene, t, l in zip(scenes, trajs, logits):
         (ref_t, ref_l), _ = forward_ref(params, scene)
         assert np.array_equal(bits(t), bits(ref_t))
@@ -409,7 +410,7 @@ def test_simpo_with_momentum_leaves_trajectory_head_untouched():
     config = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4,
                          objective="simpo", momentum=0.9,
                          simpo=SimPOConfig(beta=2.0, gamma=5.0))
-    train(params, scene_block(make_scenes(8), T_OBS, T_FUT), config)
+    train(params, scene_block(make_scenes(8)), config)
     assert {key: params[key].tobytes() for key in frozen} == frozen
     assert not np.array_equal(params["W1"], trunk)
 

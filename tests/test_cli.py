@@ -76,6 +76,8 @@ class TestConfig:
         [("delta", "-1")],                # the extraction config's checks
         [("collision_threshold", "0")],
         [("n_val", "-3")],
+        [("pretrain_momentum", "-0.5")],  # momentum is in [0, 1)
+        [("pretrain_momentum", "1")],
     ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
     def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
         assert run(tmp_path, "gen", sets=sets) == EXIT_CONFIG
@@ -201,6 +203,27 @@ class TestPipeline:
         assert comparison["scr"]["relative_change_percent"] is None
         out = capsys.readouterr().out
         assert "0.000000 -> 0.000000 (n/a)" in out and "nan" not in out
+
+    def test_epoch_lines_pinned(self, tmp_path, capsys):
+        # one line per epoch; finetune[simpo]'s also gives the reward gap
+        two = [("finetune_epochs", "2")]
+        assert run(tmp_path, "gen") == EXIT_OK
+        assert run(tmp_path, "pretrain") == EXIT_OK
+        assert run(tmp_path, "extract") == EXIT_OK
+        capsys.readouterr()
+        assert run(tmp_path, "pretrain", force=True) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "pretrain epoch 0: loss 7.3814\n"
+            "pretrain epoch 1: loss 7.4630\n")
+        assert run(tmp_path, "finetune", sets=two) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "finetune[simpo] epoch 0: loss 15.1730 reward_gap -0.139\n"
+            "finetune[simpo] epoch 1: loss 15.1640 reward_gap -0.134\n")
+        assert run(tmp_path, "finetune", "--objective", "direct-cost",
+                   sets=two) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "finetune[direct-cost] epoch 0: loss 348.3381\n"
+            "finetune[direct-cost] epoch 1: loss 321.3031\n")
 
     def test_direct_cost_objective_writes_separate_artifact(self, tmp_path):
         assert run(tmp_path, "gen") == EXIT_OK
@@ -380,6 +403,18 @@ class TestAblate:
         report = json.loads((sub / "report_final.json").read_text())
         assert row == {"lam": 10.0, **report}
 
+
+    def test_failing_stage_stops_the_sweep(self, tmp_path, capsys):
+        assert run(tmp_path, "gen") == EXIT_OK
+        assert run(tmp_path, "ablate", "k", "4", "6",
+                   sets=[("pretrain_lr", "1e300")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "pretrain diverged at epoch 0" in err
+        assert "ablate k 4: pretrain failed" in err
+        assert "missing artifact" not in err
+        for name in ("ablate_k_6", "ablation_k.json", "ablation_k.tsv",
+                     "ablate_k_manifest.json"):
+            assert not (tmp_path / name).exists()
 
     def test_invalid_param_rejected(self, tmp_path):
         # argparse enforces the choices and exits with its own code

@@ -120,7 +120,7 @@ class TestRepellerGrad:
             # stay away from the hinge kink and coincident points
             if np.any(np.abs(off - params.r) < 1e-3) or np.any(off < 1e-3):
                 continue
-            grad = repeller_cost_grad(mode, params)
+            grad = repeller_cost_grad(mode, params)[1]
             h = 1e-6
             for _ in range(6):
                 i, t, c = rng.integers(3), rng.integers(4), rng.integers(2)
@@ -137,10 +137,29 @@ class TestRepellerGrad:
         params = RepellerParams(r=1.0)
         mode = np.zeros((2, 1, 2))
         mode[1, 0, 0] = 0.5
-        grad = repeller_cost_grad(mode, params)
+        grad = repeller_cost_grad(mode, params)[1]
         # descending the cost moves agent 1 away from agent 0 (+x direction)
         assert grad[1, 0, 0] < 0
         assert grad[0, 0, 0] > 0
+
+
+    @given(st.integers(1, 6), st.integers(3, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 3.0]),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cost_is_mode_repeller_cost(self, k, a, t, seed, r, grid):
+        """At t = 0 agents 0 and 1 coincide and agent 2 is exactly r away;
+        on the 0.5 m grid more pairs do either."""
+        rng = np.random.default_rng(seed)
+        modes = (rng.integers(-3, 4, size=(k, a, t, 2)) * 0.5 if grid
+                 else rng.normal(size=(k, a, t, 2)))
+        modes[:, :3, 0] = [[0.0, 0.0], [0.0, 0.0], [r, 0.0]]
+        delta = pairwise_distances(modes)
+        assert np.all(delta[:, 0, 1, 0] == 0) and np.all(delta[:, 0, 2, 0] == r)
+        params = RepellerParams(r=r)
+        cost, grad = repeller_cost_grad(modes, params)
+        assert cost.tobytes() == mode_repeller_cost(modes, params).tobytes()
+        assert grad.shape == modes.shape
 
 
 class TestDetectCollisions:
@@ -201,8 +220,8 @@ class TestStackMatchesEachMode:
                                    params.epsilon)),
             "cost": (mode_repeller_cost(modes, params),
                      lambda m: mode_repeller_cost(m, params)),
-            "grad": (repeller_cost_grad(modes, params),
-                     lambda m: repeller_cost_grad(m, params)),
+            "grad": (repeller_cost_grad(modes, params)[1],
+                     lambda m: repeller_cost_grad(m, params)[1]),
             "collisions": (joint_collision_counts(modes, 1.0),
                            lambda m: joint_collision_counts(m, 1.0)),
         }

@@ -40,7 +40,7 @@ def params():
 
 
 def block(*scenes):
-    return scene_block(list(scenes), T_OBS, T_FUT)
+    return scene_block(list(scenes))
 
 
 def predict(params, scene):
@@ -126,10 +126,11 @@ class TestInitAndForward:
         assert logits.shape == (4, 2, K)
 
     def test_forward_horizon_mismatch_rejected(self, params):
+        # a block takes its horizons from its scenes; the model's differ
         bad = generate_scene(ScenarioSpec(kind="follow"), seed=1,
                              t_obs=T_OBS, t_fut=T_FUT + 5)
         with pytest.raises(ValueError):
-            block(bad)
+            forward(params, block(bad))
 
     def test_fresh_model_tracks_constant_velocity_anchor(self, params, scenes):
         # offsets start small, so predictions stay near the CV rollout
@@ -170,35 +171,39 @@ class TestTranslationInvariance:
 
 def check_block_gradients(params, blk):
     cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                      simpo=SimPOConfig(beta=2.0, gamma=5.0))
-    rep = RepellerParams()
-    for loss_fn in (lambda p: pretrain_scene_loss(p, blk),
-                    lambda p: simpo_scene_loss(p, blk, cfg, rep),
-                    lambda p: direct_scene_loss(p, blk, 10.0, rep)):
+                      simpo=SimPOConfig(beta=2.0, gamma=5.0),
+                      repeller=RepellerParams())
+    direct = TrainConfig(learning_rate=1e-5, objective="direct-cost", lam=10.0)
+    for loss_fn in (lambda p: pretrain_scene_loss(p, blk, cfg),
+                    lambda p: simpo_scene_loss(p, blk, cfg),
+                    lambda p: direct_scene_loss(p, blk, direct)):
         fd_check(params, None, lambda p: batch_mean(loss_fn(p)), tol=1e-4)
 
 
 class TestGradients:
     def test_pretrain_gradients(self, params, scenes):
+        cfg = TrainConfig(learning_rate=1e-5, objective="pretrain")
         fd_check(params, scenes,
-                 lambda p: batch_mean(pretrain_scene_loss(p, block(scenes[0]))),
+                 lambda p: batch_mean(pretrain_scene_loss(p, block(scenes[0]),
+                                                          cfg)),
                  tol=1e-4)
 
     def test_simpo_gradients(self, params, scenes):
         cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                          simpo=SimPOConfig(beta=2.0, gamma=5.0))
-        rep = RepellerParams()
+                          simpo=SimPOConfig(beta=2.0, gamma=5.0),
+                          repeller=RepellerParams())
 
         def loss_fn(p):
-            return batch_mean(simpo_scene_loss(p, block(scenes[0]), cfg, rep))
+            return batch_mean(simpo_scene_loss(p, block(scenes[0]), cfg))
 
         fd_check(params, scenes, loss_fn, tol=1e-4)
 
     def test_direct_gradients(self, params, scenes):
-        rep = RepellerParams()
+        cfg = TrainConfig(learning_rate=1e-5, objective="direct-cost",
+                          lam=10.0, repeller=RepellerParams())
         fd_check(params, scenes,
                  lambda p: batch_mean(direct_scene_loss(p, block(scenes[0]),
-                                                        10.0, rep)),
+                                                        cfg)),
                  tol=1e-4)
 
     def test_backward_zero_inputs_zero_grads(self, params, scenes):
@@ -283,16 +288,16 @@ class TestTraining:
 
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=3)
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
-        rep = RepellerParams()
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
+                          repeller=RepellerParams())
 
         joint_before, _ = aggregate_to_joint(*predict(params, scene))
         rec = preference_cost(joint_before, scene.ground_truth_futures,
-                              repeller_params=rep)
+                              repeller_params=cfg.repeller)
         worst = int(rec.ranking[-1])
         prob_before = joint_before.scene_probs[worst]
 
-        _, grads, _ = simpo_scene_loss(params, block(scene), cfg, rep)
+        _, grads, _ = simpo_scene_loss(params, block(scene), cfg)
         sgd_step(params, grads, lr=1e-4)
         joint_after, _ = aggregate_to_joint(*predict(params, scene))
         assert joint_after.scene_probs[worst] <= prob_before + 1e-9
@@ -312,12 +317,12 @@ class TestLogitHeadIsolation:
         # parameters; updating just the logit head must change probabilities
         # while keeping every trajectory bit-identical
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
-        rep = RepellerParams()
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
+                          repeller=RepellerParams())
         before = [predict(params, s) for s in scenes]
         for _ in range(20):
             for scene in scenes:
-                _, grads, _ = simpo_scene_loss(params, block(scene), cfg, rep)
+                _, grads, _ = simpo_scene_loss(params, block(scene), cfg)
                 for key in ("Wl", "bl"):
                     params[key] = params[key] - 0.05 * grads[key]
         after = [predict(params, s) for s in scenes]
