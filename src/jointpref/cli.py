@@ -38,11 +38,10 @@ from .collision_geometry import (
 from .mode_aggregation import aggregate_to_joint
 from .po_losses import DEFAULT_BETA, DEFAULT_GAMMA, SimPOConfig
 from .preference_ranking import (
+    DEFAULT_DELTA,
     DEFAULT_LAMBDA,
-    ExtractionConfig,
-    ExtractionSummary,
     extract_preference_subset,
-    preference_cost,
+    preference_cost,  # noqa: F401  perfbench/test_perfbench.py looks it up here
 )
 from .scene_model import NonFiniteError, read_scenes, write_scenes
 from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
@@ -91,10 +90,7 @@ class RunConfig:
     hidden: int = HIDDEN
     # preference metric / extraction
     lam: float = DEFAULT_LAMBDA
-    # extraction threshold co-tuned with the default scene mixture so the
-    # subset stays a minority of the training set; harder crossing-heavy
-    # mixtures pair naturally with smaller deltas (2.5 or 1.0)
-    delta: float = 10.0
+    delta: float = DEFAULT_DELTA
     repeller_r: float = DEFAULT_RADIUS_M
     repeller_eps: float = DEFAULT_EPSILON
     collision_threshold: float = COLLISION_THRESHOLD_M
@@ -111,25 +107,26 @@ class RunConfig:
     batch_size: int = 16
 
     def validate(self):
+        """ConfigError naming the first field out of its range; the
+        mixture, repeller and SimPO dataclasses check their own fields."""
         if self.k < self.top_n:
             raise ConfigError(f"K ({self.k}) must be >= top_n ({self.top_n})")
         for name in ("n_train", "t_fut", "top_n", "hidden", "pretrain_lr",
                      "finetune_lr", "pretrain_epochs", "finetune_epochs",
-                     "batch_size"):
+                     "batch_size", "collision_threshold"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.t_obs < 2:
             raise ConfigError("t_obs must be >= 2 (velocities need two steps)")
-        for name in ("n_val", *WEIGHTS):   # a 0 weight leaves a kind out
+        for name in ("n_val", "delta", *WEIGHTS):   # 0 weight: kind left out
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not 0 <= self.pretrain_momentum < 1:
             raise ConfigError("pretrain_momentum must be in [0, 1)")
-        try:   # the parameter dataclasses check their own fields
+        try:
             specs = self.mixture()
             self.repeller()
             self.simpo()
-            self.extraction()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         if not specs:
@@ -147,10 +144,6 @@ class RunConfig:
 
     def simpo(self) -> SimPOConfig:
         return SimPOConfig(beta=self.beta, gamma=self.gamma)
-
-    def extraction(self) -> ExtractionConfig:
-        return ExtractionConfig(delta=self.delta,
-                                collision_threshold=self.collision_threshold)
 
 
 def _checked(key: str, value, current):
@@ -341,17 +334,14 @@ def _predict_joints(params, split, batch_size: int):
 
 
 def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
+    """Write the ids of the train scenes the checkpoint's joint modes make
+    worth fine-tuning on, and how many scenes each rule kept."""
     split = _read_split(cfg, train_path)
     params = _load_params(cfg, ckpt)
-    econfig = cfg.extraction()
-    kept, summary = [], ExtractionSummary(0, 0, 0, 0)
-    for ids, futures, joints in _predict_joints(params, split, cfg.batch_size):
-        records = preference_cost(joints, futures, lam=cfg.lam,
-                                  repeller_params=cfg.repeller())
-        chunk_kept, chunk_summary = extract_preference_subset(
-            ids, joints, records, econfig)
-        kept += chunk_kept
-        summary += chunk_summary
+    kept, summary = extract_preference_subset(
+        _predict_joints(params, split, cfg.batch_size), lam=cfg.lam,
+        repeller_params=cfg.repeller(), delta=cfg.delta,
+        threshold=cfg.collision_threshold)
     out.write_text("".join(sid + "\n" for sid in kept))
     summary_path.write_text(json.dumps({
         "total": summary.total, "extracted": summary.extracted,

@@ -8,7 +8,7 @@ collides or the cost spread across modes exceeds delta.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .collision_geometry import (
 from .scene_model import JointModeSet
 
 DEFAULT_LAMBDA = 1e3
+# cost-spread threshold, co-tuned with the default scene mixture so the
+# subset stays a minority of the training set; harder crossing-heavy
+# mixtures pair naturally with smaller deltas (2.5 or 1.0)
+DEFAULT_DELTA = 10.0
 
 
 @dataclass(frozen=True)
@@ -35,18 +39,6 @@ class PreferenceRecord:
     repeller: np.ndarray   # (..., K)
     cost: np.ndarray       # (..., K) avg_fde + lam * repeller
     ranking: np.ndarray    # (..., K) permutation, best mode first
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    delta: float               # cost-spread threshold
-    collision_threshold: float = COLLISION_THRESHOLD_M
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if self.collision_threshold <= 0:
-            raise ValueError("collision threshold must be positive")
 
 
 def avg_fde(modes: np.ndarray, ground_truth: np.ndarray):
@@ -89,34 +81,34 @@ class ExtractionSummary:
     def fraction(self) -> float:
         return self.extracted / self.total if self.total else 0.0
 
-    def __add__(self, other: ExtractionSummary) -> ExtractionSummary:
-        """Counts over the scenes of both summaries."""
-        return ExtractionSummary(*(a + b for a, b in zip(astuple(self),
-                                                          astuple(other))))
 
-
-def scene_is_preferred(joint: JointModeSet, record: PreferenceRecord,
-                       config: ExtractionConfig):
-    """Per-scene inclusion decision: (included, via_collision, via_spread),
-    each a bool array over the stack's scenes."""
-    counts = joint_collision_counts(joint.modes, config.collision_threshold)
-    via_collision = np.any(counts > 0, axis=-1)
-    via_spread = (record.cost.max(axis=-1) - record.cost.min(axis=-1)
-                  > config.delta)
-    return via_collision | via_spread, via_collision, via_spread
-
-
-def extract_preference_subset(scene_ids, joints: JointModeSet,
-                              records: PreferenceRecord,
-                              config: ExtractionConfig
+def extract_preference_subset(chunks, lam: float = DEFAULT_LAMBDA,
+                              repeller_params: RepellerParams | None = None,
+                              delta: float = DEFAULT_DELTA,
+                              threshold: float = COLLISION_THRESHOLD_M
                               ) -> tuple[list[str], ExtractionSummary]:
-    """Select scene ids whose modes collide or whose cost spread exceeds
-    delta; joints and records stack one scene per id, in the same order."""
-    scene_ids = np.asarray(scene_ids, dtype=str)
-    included, via_coll, via_spread = scene_is_preferred(joints, records, config)
-    if included.shape != scene_ids.shape:
-        raise ValueError(f"{scene_ids.size} ids for {included.shape} scenes")
-    kept = scene_ids[included].tolist()
-    return kept, ExtractionSummary(total=len(scene_ids), extracted=len(kept),
-                                   collision_branch_count=int(via_coll.sum()),
-                                   spread_branch_count=int(via_spread.sum()))
+    """Ids of the scenes whose modes collide or whose cost spread exceeds
+    delta, and how many scenes each rule kept.
+
+    chunks yields (ids, ground truths, joint mode stack) triples, each
+    covering a run of the dataset's scenes: (B,) ids, (B, A, T, 2) futures
+    and B scenes' joint modes. Kept ids stay in dataset order. ValueError
+    when chunks is empty or a chunk's ids do not match its scenes.
+    """
+    parts = []
+    for ids, ground_truth, joint in chunks:
+        cost = preference_cost(joint, ground_truth, lam, repeller_params).cost
+        counts = joint_collision_counts(joint.modes, threshold)
+        ids = np.asarray(ids, dtype=str)
+        if ids.shape != counts.shape[:-1]:
+            raise ValueError(f"{ids.size} ids for {counts.shape[:-1]} scenes")
+        parts.append((ids, np.any(counts > 0, axis=-1),
+                      cost.max(axis=-1) - cost.min(axis=-1) > delta))
+    if not parts:
+        raise ValueError("no scenes to extract from")
+    ids, via_collision, via_spread = (np.concatenate(p) for p in zip(*parts))
+    kept = ids[via_collision | via_spread].tolist()
+    return kept, ExtractionSummary(
+        total=len(ids), extracted=len(kept),
+        collision_branch_count=int(via_collision.sum()),
+        spread_branch_count=int(via_spread.sum()))

@@ -24,6 +24,9 @@ DT = 0.1
 DEFAULT_T_OBS = 10
 DEFAULT_T_FUT = 30
 YIELD_GAP_M = 1.5   # minimum inter-agent distance enforced on ground truth
+SPEED_MIN_MPS, SPEED_MAX_MPS = 4.0, 8.0   # every kind's agent speeds
+# headings of successive crossing agents differ by an angle in this band
+CROSSING_ANGLE_MIN, CROSSING_ANGLE_MAX = math.pi / 3, 2 * math.pi / 3
 
 KINDS = ("crossing", "merge", "follow", "parallel")
 
@@ -32,10 +35,6 @@ KINDS = ("crossing", "merge", "follow", "parallel")
 class ScenarioSpec:
     kind: str = "crossing"
     num_agents: int = 2
-    speed_min: float = 4.0
-    speed_max: float = 8.0
-    angle_min: float = math.pi / 3
-    angle_max: float = 2 * math.pi / 3
     noise_std: float = 0.05
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not 2 <= self.num_agents <= 6:
             raise ValueError("num_agents must be in [2, 6]")
-        if self.speed_min <= 0 or self.speed_max < self.speed_min:
-            raise ValueError("speeds must be positive and ordered")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
@@ -65,14 +62,14 @@ def _crossing_like(spec: ScenarioSpec, rng: np.random.Generator,
                    t_obs: int, t_fut: int, merge: bool) -> np.ndarray:
     """Full (A, T_obs+T_fut, 2) noise-free tracks for crossing/merge scenes."""
     a = spec.num_agents
-    speeds = rng.uniform(spec.speed_min, spec.speed_max, size=a)
+    speeds = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS, size=a)
     if merge:
         base = rng.uniform(0, 2 * math.pi)
         spread = rng.uniform(0.25, 0.5)
         headings = base + np.linspace(-spread / 2, spread / 2, a)
     else:
         base = rng.uniform(0, 2 * math.pi)
-        gap = rng.uniform(spec.angle_min, spec.angle_max)
+        gap = rng.uniform(CROSSING_ANGLE_MIN, CROSSING_ANGLE_MAX)
         headings = base + np.arange(a) * gap
     # rank[i] = i's arrival priority at the conflict point (0 goes first)
     rank = rng.permutation(a)
@@ -119,12 +116,12 @@ def _lane_like(spec: ScenarioSpec, rng: np.random.Generator,
     total = t_obs + t_fut
     tracks = np.zeros((a, total, 2))
     if parallel:
-        speeds = rng.uniform(spec.speed_min, spec.speed_max, size=a)
+        speeds = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS, size=a)
         offsets = (np.arange(a) - (a - 1) / 2) * rng.uniform(3.0, 5.0)
         along = rng.uniform(-5.0, 5.0, size=a)
     else:
         # follow: shared speed, longitudinal spacing
-        speed = rng.uniform(spec.speed_min, spec.speed_max)
+        speed = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS)
         speeds = np.full(a, speed)
         offsets = np.zeros(a)
         spacing = rng.uniform(6.0, 10.0)

@@ -156,8 +156,15 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
     einsum's inner loop runs over all K*O outputs at once. Each offset is
     still z's terms summed over c in order: numpy's einsum (2.4.6) adds one
     rounded product per c to each output, in this layout as in the
-    per-scene "ac,kco->ako" it replaced. The tests pin the bits."""
+    per-scene "ac,kco->ako" it replaced. The tests pin the bits.
+    ValueError when the block's horizons are not the model's."""
     f = block.features                                     # (B, A, d_in)
+    meta, t_fut = params["_meta"], block.anchors.shape[2]
+    # feature_dim(t_obs) = 4 t_obs + 2 features; W1 has one row for each
+    if (f.shape[2], t_fut) != (params["W1"].shape[0], meta["t_fut"]):
+        raise ValueError(
+            f"block has t_obs {(f.shape[2] - 2) / 4:g}, t_fut {t_fut}; the "
+            f"model has t_obs {meta['t_obs']}, t_fut {meta['t_fut']}")
     a = f.shape[1]
     h1 = np.tanh(f @ params["W1"] + params["b1"])          # (B, A, H)
     e = np.tanh(h1 @ params["W2"] + params["b2"])          # (B, A, H)

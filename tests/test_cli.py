@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -224,6 +225,15 @@ class TestPipeline:
         assert capsys.readouterr().out == (
             "finetune[direct-cost] epoch 0: loss 348.3381\n"
             "finetune[direct-cost] epoch 1: loss 321.3031\n")
+
+    def test_extract_outputs_pinned(self, pretrained, tmp_path):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        assert (workdir / "extract_summary.json").read_text() == (
+            '{\n  "total": 40,\n  "extracted": 6,\n  "fraction": 0.15,\n'
+            '  "collision_branch_count": 6,\n  "spread_branch_count": 6\n}\n')
+        assert hashlib.sha256((workdir / "subset.txt").read_bytes()).hexdigest() \
+            == "cd6af39a23a936535eb028524282059ba30b2c235af1e0b080e705ae5f12cda6"
 
     def test_direct_cost_objective_writes_separate_artifact(self, tmp_path):
         assert run(tmp_path, "gen") == EXIT_OK

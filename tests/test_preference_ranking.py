@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 from jointpref.collision_geometry import RepellerParams
 from jointpref.mode_aggregation import softmax
 from jointpref.preference_ranking import (
-    ExtractionConfig,
     avg_fde,
     extract_preference_subset,
     preference_cost,
-    scene_is_preferred,
 )
 from jointpref.scene_model import JointModeSet
 
@@ -139,43 +137,46 @@ class TestPreferenceCost:
 
 class TestExtraction:
     def setup_method(self):
-        self.config = ExtractionConfig(delta=2.5)
         self.gt = spaced_modes(1)[0]
+
+    def extract_one(self, modes, **kw):
+        """Extraction at delta 2.5 over one chunk of one scene."""
+        chunk = (["s"], self.gt[None], make_joint(modes[None], np.zeros((1, 2))))
+        kept, summary = extract_preference_subset([chunk], delta=2.5, **kw)
+        assert kept == (["s"] if summary.extracted else [])
+        return summary
 
     def test_collision_branch(self):
         colliding = self.gt.copy()
         colliding[1] = colliding[0] + 0.3
-        joint = make_joint(np.stack([self.gt, colliding]))
-        rec = preference_cost(joint, self.gt)
-        included, via_coll, via_spread = scene_is_preferred(joint, rec,
-                                                           self.config)
-        assert included and via_coll
+        summary = self.extract_one(np.stack([self.gt, colliding]))
+        assert summary.extracted == 1
+        assert summary.collision_branch_count == 1
 
     def test_spread_branch(self):
         off = self.gt.copy()
         off[:, -1, 0] += 10.0  # spread of 10 > delta, no collisions
-        joint = make_joint(np.stack([self.gt, off]))
-        rec = preference_cost(joint, self.gt)
-        included, via_coll, via_spread = scene_is_preferred(joint, rec,
-                                                           self.config)
-        assert included and via_spread and not via_coll
+        summary = self.extract_one(np.stack([self.gt, off]))
+        assert summary.extracted == 1
+        assert (summary.collision_branch_count,
+                summary.spread_branch_count) == (0, 1)
 
     def test_clean_tight_scene_excluded(self):
         near = self.gt.copy()
         near[:, -1, 0] += 1.0  # spread 1 < delta 2.5
-        joint = make_joint(np.stack([self.gt, near]))
-        rec = preference_cost(joint, self.gt)
-        included, _, _ = scene_is_preferred(joint, rec, self.config)
-        assert not included
+        summary = self.extract_one(np.stack([self.gt, near]))
+        assert (summary.extracted, summary.collision_branch_count,
+                summary.spread_branch_count) == (0, 0, 0)
 
     def test_spread_threshold_is_strict(self):
         off = self.gt.copy()
         off[:, -1, 0] += 2.5  # spread exactly delta: not included
-        joint = make_joint(np.stack([self.gt, off]))
-        rec = preference_cost(joint, self.gt, lam=0.0)
+        modes = np.stack([self.gt, off])
+        rec = preference_cost(make_joint(modes), self.gt, lam=0.0)
         assert rec.cost.max() - rec.cost.min() == pytest.approx(2.5, abs=1e-12)
-        included, _, _ = scene_is_preferred(joint, rec, self.config)
-        assert not included
+        summary = self.extract_one(modes, lam=0.0)
+        assert (summary.extracted, summary.collision_branch_count,
+                summary.spread_branch_count) == (0, 0, 0)
 
     def test_subset_extraction_counts(self):
         gt = self.gt
@@ -188,9 +189,8 @@ class TestExtraction:
         joints = make_joint(np.stack([np.stack([gt, colliding]),
                                       np.stack([gt, wide]),
                                       np.stack([gt, near])]), np.zeros((3, 2)))
-        records = preference_cost(joints, np.stack([gt] * 3))
-        kept, summary = extract_preference_subset(["a", "b", "c"], joints,
-                                                  records, self.config)
+        chunk = (["a", "b", "c"], np.stack([gt] * 3), joints)
+        kept, summary = extract_preference_subset([chunk], delta=2.5)
         assert kept == ["a", "b"]
         assert summary.total == 3
         assert summary.extracted == 2
@@ -199,15 +199,9 @@ class TestExtraction:
 
     def test_empty_input(self):
         joints = make_joint(np.zeros((0, 2, 2, 5, 2)), np.zeros((0, 2)))
-        records = preference_cost(joints, np.zeros((0, 2, 5, 2)))
-        kept, summary = extract_preference_subset([], joints, records,
-                                                  self.config)
+        chunk = ([], np.zeros((0, 2, 5, 2)), joints)
+        kept, summary = extract_preference_subset([chunk], delta=2.5)
         assert kept == []
         assert summary.fraction == 0.0
-
-
-def test_extraction_config_validation():
-    with pytest.raises(ValueError):
-        ExtractionConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        ExtractionConfig(delta=2.5, collision_threshold=0.0)
+        with pytest.raises(ValueError, match="no scenes"):
+            extract_preference_subset([], delta=2.5)

@@ -28,10 +28,8 @@ from jointpref.po_losses import (
     pl_nll_grad,
 )
 from jointpref.preference_ranking import (
-    ExtractionConfig,
     extract_preference_subset,
     preference_cost,
-    scene_is_preferred,
 )
 from jointpref.scene_model import JointModeSet, NonFiniteError
 
@@ -160,12 +158,14 @@ def test_direct_cost_loss(case):
 
 
 def test_extraction_decision(case):
-    config = ExtractionConfig(delta=2.5)
-    rec = preference_cost(case["joint"], case["gt"], repeller_params=PARAMS)
-    each_scene(scene_is_preferred(case["joint"], rec, config),
-               lambda j, g: scene_is_preferred(
-                   j, preference_cost(j, g, repeller_params=PARAMS), config),
-               case["joints"], case["gt"])
+    """One chunk of the stack keeps what one chunk per scene keeps."""
+    ids = [f"s{i}" for i in range(len(case["joints"]))]
+    stack = [(ids, case["gt"], case["joint"])]
+    scenes = [([i], g[None], JointModeSet(*(f[None] for f in fields(j))))
+              for i, g, j in zip(ids, case["gt"], case["joints"])]
+    assert (extract_preference_subset(stack, repeller_params=PARAMS, delta=2.5)
+            == extract_preference_subset(scenes, repeller_params=PARAMS,
+                                         delta=2.5))
 
 
 def test_metrics(case):
@@ -226,7 +226,6 @@ def test_validation_applies_to_each_scene():
 def test_stack_length_must_match_scene_list():
     trajs, logits, gt, _ = make_case(3, 6, 2)
     joint, _ = aggregate_to_joint(trajs, logits)
-    rec = preference_cost(joint, gt, repeller_params=PARAMS)
     with pytest.raises(ValueError, match="2 ids"):
-        extract_preference_subset(["a", "b"], joint, rec,
-                                  ExtractionConfig(delta=2.5))
+        extract_preference_subset([(["a", "b"], gt, joint)],
+                                  repeller_params=PARAMS, delta=2.5)

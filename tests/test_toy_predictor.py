@@ -127,10 +127,13 @@ class TestInitAndForward:
 
     def test_forward_horizon_mismatch_rejected(self, params):
         # a block takes its horizons from its scenes; the model's differ
-        bad = generate_scene(ScenarioSpec(kind="follow"), seed=1,
-                             t_obs=T_OBS, t_fut=T_FUT + 5)
-        with pytest.raises(ValueError):
-            forward(params, block(bad))
+        for t_obs, t_fut in ((T_OBS, T_FUT + 5), (T_OBS + 2, T_FUT)):
+            bad = generate_scene(ScenarioSpec(kind="follow"), seed=1,
+                                 t_obs=t_obs, t_fut=t_fut)
+            with pytest.raises(ValueError, match=(
+                    f"block has t_obs {t_obs}, t_fut {t_fut}; "
+                    f"the model has t_obs {T_OBS}, t_fut {T_FUT}")):
+                forward(params, block(bad))
 
     def test_fresh_model_tracks_constant_velocity_anchor(self, params, scenes):
         # offsets start small, so predictions stay near the CV rollout
