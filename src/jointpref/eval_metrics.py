@@ -95,12 +95,16 @@ def evaluate_dataset(chunks, top_n: int = 6,
     covering a run of the dataset's scenes: (B,) ids, (B, A, T, 2) futures
     and B scenes' joint modes. Each stack is cut here to its top_n most
     probable modes, with renormalized probabilities. ValueError when chunks
-    is empty.
+    is empty or a chunk's ids do not match its scenes.
     """
     parts = []
     for ids, ground_truth, joint in chunks:
         if joint.num_modes >= top_n:
             joint = select_top_modes(joint, top_n)
+        ids = np.asarray(ids, dtype=str)
+        if ids.shape != joint.scene_logits.shape[:-1]:
+            raise ValueError(f"{ids.size} ids for "
+                             f"{joint.scene_logits.shape[:-1]} scenes")
         parts.append(astuple(scene_metrics(ids, joint, ground_truth,
                                            threshold)))
     if not parts:

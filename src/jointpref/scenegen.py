@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision_geometry import pairwise_distances
+from .collision_geometry import _pair_geometry
 from .scene_model import Scene
 
 DT = 0.1
@@ -54,8 +54,7 @@ def _rollout(start: np.ndarray, heading: float, speeds: np.ndarray) -> np.ndarra
 
 
 def _min_future_gap(futures: np.ndarray) -> float:
-    iu, ju = np.triu_indices(futures.shape[0], k=1)
-    return float(pairwise_distances(futures)[iu, ju].min())
+    return float(_pair_geometry(futures)[3].min())
 
 
 def _crossing_like(spec: ScenarioSpec, rng: np.random.Generator,

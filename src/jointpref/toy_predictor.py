@@ -341,9 +341,10 @@ def direct_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
     losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam,
                                        repeller_params=config.repeller)
     # mode k, agent i came from agent i's marginal mode source[b, i, k]
+    b, a = source.shape[:2]
     d_trajs = np.zeros_like(trajs)
-    np.put_along_axis(d_trajs, source[..., None, None],
-                      d_modes.swapaxes(1, 2), 2)
+    d_trajs[np.arange(b)[:, None, None], np.arange(a)[:, None], source] = \
+        d_modes.swapaxes(1, 2)
     return losses, backward(params, cache, np.zeros_like(logits), d_trajs), None
 
 

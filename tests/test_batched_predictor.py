@@ -441,6 +441,38 @@ def test_every_offset_row_live(k):
     assert_bits_equal(grads, ref)
 
 
+def direct_block_ref(params, block, config):
+    """direct_scene_loss with its trajectory-gradient scatter written as a
+    loop over scenes, agents and joint modes."""
+    trajs, logits, cache = forward(params, block, cache=True)
+    joint, source = aggregate_to_joint(trajs, logits)
+    losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam,
+                                       repeller_params=config.repeller)
+    d_trajs = np.zeros_like(trajs)
+    for b, i, k in np.ndindex(source.shape):
+        d_trajs[b, i, source[b, i, k]] = d_modes[b, k, i]
+    return losses, backward(params, cache, np.zeros_like(logits), d_trajs)
+
+
+@pytest.mark.parametrize("a,tied", [(1, False), (2, True), (3, False),
+                                    (3, True)])
+def test_direct_step_scatter_matches_loop(a, tied):
+    """Tied logit columns make aggregation pair equal-logit modes, which
+    it keeps in index order."""
+    params = make_params(6)
+    if tied:
+        params["Wl"][:, 1:4] = params["Wl"][:, [0]]
+        params["bl"][1:4] = params["bl"][0]
+    block = synthetic_block(5, a, seed=a)
+    losses, grads, _ = direct_scene_loss(params, block, DIRECT)
+    ref_losses, ref_grads = direct_block_ref(params, block, DIRECT)
+    assert losses.tobytes() == ref_losses.tobytes()
+    assert_bits_equal(grads, ref_grads)
+    if tied:
+        logits = forward(params, block)[1]
+        assert np.all(logits[..., 1:4] == logits[..., [0]])
+
+
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_sgd_step_in_place_matches_out_of_place(momentum):
     """Five in-place steps give the bits of the former out-of-place update;

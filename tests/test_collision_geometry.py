@@ -9,8 +9,47 @@ from jointpref.collision_geometry import (
     pairwise_distances,
     repeller_cost,
     repeller_cost_grad,
-    repeller_matrix,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the full A x A pair tensor the library computed before it
+# worked on the A(A-1)/2 pairs i < j only
+# ---------------------------------------------------------------------------
+
+def pairwise_ref(modes):
+    """Position differences (..., A, A, T, 2) and their norms (..., A, A, T)."""
+    modes = np.asarray(modes, dtype=np.float64)
+    diff = modes[..., :, None, :, :] - modes[..., None, :, :, :]
+    return diff, np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def repeller_matrix_ref(delta, params):
+    """Hinge proximity tensor: max(0, 1 - d/r) off-diagonal, 0 on the diagonal."""
+    a = np.maximum(1.0 - delta / params.r, 0.0)
+    idx = np.arange(delta.shape[-2])
+    a[..., idx, idx, :] = 0.0
+    return a
+
+
+def repeller_cost_grad_ref(modes, params):
+    diff, delta = pairwise_ref(modes)
+    repeller = repeller_matrix_ref(delta, params)
+    active = repeller > 0
+    denom = np.count_nonzero(active, axis=(-3, -2, -1)) + params.epsilon
+    safe = np.where(delta > 0, delta, 1.0)
+    unit = np.where(delta[..., None] > 0, diff / safe[..., None], 0.0)
+    coeff = np.where(active, -1.0 / (params.r * denom[..., None, None, None]),
+                     0.0)
+    contrib = coeff[..., None] * unit
+    return (repeller_cost(repeller, params.epsilon),
+            contrib.sum(axis=-3) - contrib.sum(axis=-4))
+
+
+def joint_collision_counts_ref(modes, threshold_m):
+    delta = pairwise_ref(modes)[1]
+    iu, ju = np.triu_indices(delta.shape[-2], k=1)
+    return np.sum(delta[..., iu, ju, :].min(axis=-1) < threshold_m, axis=-1)
 
 
 def straight(start, vel, t=5, dt=0.1):
@@ -48,31 +87,36 @@ class TestPairwiseDistances:
 
 
 class TestRepellerMatrix:
+    """The hinge max(0, 1 - d/r) as mode_repeller_cost sums it over the
+    A x A pair tensor, off the diagonal only."""
+
     def test_far_apart_is_zero(self):
         mode = np.stack([straight([0, 0], [1, 0]), straight([0, 10], [1, 0])])
-        a = repeller_matrix(pairwise_distances(mode), RepellerParams(r=1.0))
-        assert np.all(a == 0)
+        assert mode_repeller_cost(mode, RepellerParams(r=1.0)) == 0.0
 
     def test_half_distance_entry(self):
         # d = 0.5 at one step with r = 1 -> 0.5 in both symmetric slots
         mode = np.zeros((2, 3, 2))
         mode[1, :, 0] = [5.0, 0.5, 5.0]
-        a = repeller_matrix(pairwise_distances(mode), RepellerParams(r=1.0))
-        assert a[0, 1, 1] == pytest.approx(0.5)
-        assert a[1, 0, 1] == pytest.approx(0.5)
-        assert np.count_nonzero(a) == 2
+        eps = 1e-6
+        assert mode_repeller_cost(mode, RepellerParams(r=1.0)) \
+            == (0.5 + 0.5) / (2 + eps)
 
     def test_diagonal_zero_for_any_radius(self):
-        mode = np.zeros((2, 4, 2))
+        # two coincident agents fill 2 of the 2x2x4 slots per step, never
+        # the diagonal; a lone agent fills none
         for r in (0.5, 1.0, 100.0):
-            a = repeller_matrix(pairwise_distances(mode), RepellerParams(r=r))
-            assert np.all(a[0, 0] == 0) and np.all(a[1, 1] == 0)
+            params = RepellerParams(r=r)
+            assert mode_repeller_cost(np.zeros((2, 4, 2)), params) \
+                == 8.0 / (8 + params.epsilon)
+            assert mode_repeller_cost(np.zeros((1, 4, 2)), params) == 0.0
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        mode = rng.normal(size=(4, 8, 2))
-        a = repeller_matrix(pairwise_distances(mode), RepellerParams(r=2.0))
-        assert np.all(a >= 0) and np.all(a <= 1)
+        modes = rng.normal(size=(50, 4, 8, 2))
+        cost = mode_repeller_cost(modes, RepellerParams(r=2.0))
+        assert np.all(cost >= 0) and np.all(cost <= 1)
+        assert np.any(cost > 0)
 
 
 class TestRepellerCost:
@@ -209,13 +253,11 @@ class TestStackMatchesEachMode:
         params = RepellerParams(r=1.0)
         modes = np.random.default_rng(seed).normal(size=(k, a, t, 2)) * scale
         delta = pairwise_distances(modes)
-        rep = repeller_matrix(delta, params)
+        rep = repeller_matrix_ref(delta, params)
         batched = {
             "distances": (delta, pairwise_distances),
-            "repeller": (rep, lambda m: repeller_matrix(
-                pairwise_distances(m), params)),
             "cost_of_matrix": (repeller_cost(rep, params.epsilon),
-                               lambda m: repeller_cost(repeller_matrix(
+                               lambda m: repeller_cost(repeller_matrix_ref(
                                    pairwise_distances(m), params),
                                    params.epsilon)),
             "cost": (mode_repeller_cost(modes, params),
@@ -235,6 +277,55 @@ class TestStackMatchesEachMode:
         mode = np.zeros((2, 3, 2))
         assert np.ndim(joint_collision_counts(mode)) == 0
         assert np.ndim(mode_repeller_cost(mode, RepellerParams())) == 0
+
+
+def edge_modes(lead, k, a, t, seed, r, grid):
+    """(*lead, K, A, T, 2) modes; on the 0.5 m grid many pairs coincide or
+    sit exactly r apart. At t = 0 agents 0 and 1 coincide and agent 2 is
+    exactly r from them; at t = 1 agent 1 is exactly r from agent 0."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (k, a, t, 2)
+    modes = (rng.integers(-4, 5, size=shape) * 0.5 if grid
+             else rng.normal(size=shape) * 2)
+    corner = [[0.0, 0.0], [0.0, 0.0], [r, 0.0]][:a]
+    modes[..., :3, 0, :] = corner
+    if t > 1 and a > 1:
+        modes[..., :2, 1, :] = [[0.0, 0.0], [0.0, r]]
+    return modes
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype \
+        and x.tobytes() == y.tobytes()
+
+
+class TestMatchesFullTensorReference:
+    """The pair path gives the bits of the full A x A tensor reference:
+    every pair quantity is the same float, and the sums still run over the
+    A x A layout, so numpy adds in the same order."""
+
+    @given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 12),
+           st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 1.0, 3.0]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, lead, k, a, t, seed, r, grid):
+        modes = edge_modes(lead, k, a, t, seed, r, grid)
+        params = RepellerParams(r=r)
+        assert same_bits(pairwise_distances(modes), pairwise_ref(modes)[1])
+        ref_cost, ref_grad = repeller_cost_grad_ref(modes, params)
+        assert same_bits(mode_repeller_cost(modes, params), ref_cost)
+        cost, grad = repeller_cost_grad(modes, params)
+        assert same_bits(cost, ref_cost)
+        assert same_bits(grad, ref_grad)
+        assert same_bits(joint_collision_counts(modes, r),
+                         joint_collision_counts_ref(modes, r))
+
+    def test_edge_cases_are_present(self):
+        modes = edge_modes([], 2, 3, 2, 0, 1.0, False)
+        d = pairwise_distances(modes)
+        assert np.all(d[:, 0, 1, 0] == 0) and np.all(d[:, 0, 2, 0] == 1.0)
+        assert np.all(d[:, 0, 1, 1] == 1.0)
 
 
 def test_invalid_params_rejected():

@@ -163,6 +163,19 @@ class TestEvaluateDataset:
         with pytest.raises(ValueError):
             evaluate_dataset([], top_n=6)
 
+    def test_ids_must_match_scenes(self):
+        """Two ids for a 3-scene chunk would drop a row and shift every
+        later chunk's ids."""
+        gt = separated_gt()
+        scenes = [make_scene(name, gt) for name in "abc"]
+        joints = stack(*[make_joint(np.stack([gt]))] * 3)
+        _, ground_truth, joint = chunk(scenes, joints)
+        with pytest.raises(ValueError, match="2 ids"):
+            evaluate_dataset([(np.array(["a", "b"]), ground_truth, joint)])
+        _, rows = evaluate_dataset([(np.array(["a", "b", "c"]),
+                                     ground_truth, joint)])
+        assert [row.scene_id for row in rows] == ["a", "b", "c"]
+
     def test_report_round_trips_to_dict(self):
         gt = separated_gt()
         scene = make_scene("s", gt)

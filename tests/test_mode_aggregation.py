@@ -234,3 +234,60 @@ class TestMostLikelyFirst:
             # cost first, then the likelier mode, then the lower index
             np.testing.assert_array_equal(
                 rec.ranking, np.lexsort((-joint.scene_probs, rec.cost)))
+
+
+def aggregate_loop(trajectories, logits):
+    """aggregate_to_joint one scene at a time, with the pairing written as
+    loops: (modes, scene_logits, source)."""
+    lead, (a, k) = logits.shape[:-2], logits.shape[-2:]
+    modes = np.empty(lead + (k, a) + trajectories.shape[-2:])
+    scene_logits = np.empty(lead + (k,))
+    source = np.empty(lead + (a, k), dtype=np.intp)
+    for s in np.ndindex(lead):
+        paired = np.empty((a, k))
+        for i in range(a):
+            source[s + (i,)] = order = sorted(range(k),
+                                              key=lambda m: -logits[s][i, m])
+            for rank, m in enumerate(order):
+                paired[i, rank] = logits[s][i, m]
+                modes[s + (rank, i)] = trajectories[s][i, m]
+        scene_logits[s] = paired.mean(axis=0)
+    return modes, scene_logits, source
+
+
+def scatter_loop(d_scene_logits, source):
+    """scene_logit_grad_to_agent_logits one scene and agent at a time."""
+    d_agent = np.zeros(source.shape)
+    a = source.shape[-2]
+    for s in np.ndindex(source.shape[:-2]):
+        for i in range(a):
+            for rank, m in enumerate(source[s][i]):
+                d_agent[s + (i, m)] = d_scene_logits[s][rank] / a
+    return d_agent
+
+
+class TestIndexPathMatchesLoops:
+    """The integer-index gather and scatter give the bits of per-scene
+    loops, with or without leading axes, at A = 1 and with tied logits."""
+
+    @given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 6),
+           st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_gather_and_scatter(self, lead, a, k, t, seed, tied):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (a, k)
+        logits = (0.5 * rng.integers(-2, 3, size=shape) if tied
+                  else rng.normal(size=shape))
+        trajs = rng.normal(size=shape + (t, 2))
+        joint, source = aggregate_to_joint(trajs, logits)
+        modes, scene_logits, ref_source = aggregate_loop(trajs, logits)
+        assert source.tobytes() == ref_source.tobytes()
+        assert joint.modes.shape == modes.shape
+        assert joint.modes.tobytes() == modes.tobytes()
+        assert joint.scene_logits.tobytes() == scene_logits.tobytes()
+        assert joint.scene_probs.tobytes() == softmax(scene_logits).tobytes()
+        d_scene = rng.normal(size=tuple(lead) + (k,))
+        d_agent = scene_logit_grad_to_agent_logits(d_scene, source)
+        assert d_agent.shape == source.shape
+        assert d_agent.tobytes() == scatter_loop(d_scene, source).tobytes()
