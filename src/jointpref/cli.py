@@ -2,10 +2,11 @@
 
 Every stage writes its artifacts plus a manifest (merged config, seed,
 content hashes of inputs and outputs, wall time, the process's peak
-memory), and reuses existing artifacts only while that manifest still
-matches. Exit codes: 0 success, 2 config error or stale artifact, 3
-missing upstream artifact, 4 validation failure, unreadable input file or
-diverged training (no checkpoint, history or manifest is written).
+memory), each through a temp file renamed into place, and reuses
+existing artifacts only while that manifest still matches. Exit codes: 0
+success, 2 config error or stale artifact, 3 missing upstream artifact, 4
+validation failure, unreadable input file or diverged training (no
+checkpoint, history or manifest is written).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .preference_ranking import (
     extract_preference_subset,
     preference_cost,  # noqa: F401  perfbench/test_perfbench.py looks it up here
 )
-from .scene_model import NonFiniteError, read_scenes, write_scenes
+from .scene_model import NonFiniteError, atomic_open, read_scenes, write_scenes
 from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
 from .toy_predictor import HIDDEN, TrainConfig
 
@@ -193,6 +194,11 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
+def _write(path: Path, data: str | bytes) -> None:
+    with atomic_open(path, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
+
+
 def _hash_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -229,8 +235,8 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
     }
-    (workdir / f"{step}_manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n")
+    _write(workdir / f"{step}_manifest.json",
+           json.dumps(manifest, indent=2) + "\n")
 
 
 def _require(path: Path, step: str | None) -> Path:
@@ -290,7 +296,7 @@ def cmd_gen(cfg: RunConfig, train_path, val_path, summary_path):
     write_scenes(val_path, val, cfg.t_obs, cfg.t_fut)
     if not val:
         print("warning: empty validation split", file=sys.stderr)
-    summary_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(summary_path, json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(train)} train / {len(val)} val scenes to {cfg.workdir}")
 
 
@@ -320,7 +326,7 @@ def _train(stage: str, params, split, tc: TrainConfig, out, history_path):
         print(f"{stage} diverged at {e}", file=sys.stderr)
         return EXIT_VALIDATION
     toy_predictor.save_checkpoint(out, params)
-    history_path.write_text(json.dumps(history) + "\n")
+    _write(history_path, json.dumps(history) + "\n")
 
 
 def _predict_joints(params, split, batch_size: int):
@@ -342,8 +348,8 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
         _predict_joints(params, split, cfg.batch_size), lam=cfg.lam,
         repeller_params=cfg.repeller(), delta=cfg.delta,
         threshold=cfg.collision_threshold)
-    out.write_text("".join(sid + "\n" for sid in kept))
-    summary_path.write_text(json.dumps({
+    _write(out, "".join(sid + "\n" for sid in kept))
+    _write(summary_path, json.dumps({
         "total": summary.total, "extracted": summary.extracted,
         "fraction": summary.fraction,
         "collision_branch_count": summary.collision_branch_count,
@@ -390,7 +396,7 @@ def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
         payload = {"report": report.to_dict(),
                    "per_scene": [dataclasses.asdict(r) for r in rows]}
         print("\n".join(report.display_lines()))
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    _write(out, json.dumps(payload, indent=2) + "\n")
 
 
 def _eval_checkpoints(cfg: RunConfig, args):
@@ -498,36 +504,40 @@ SWEEPABLE = ("gamma", "lam", "k")
 
 def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> int:
     """Per value, rerun the pipeline from the first stage that reads
-    `param` on copies of the earlier stages' outputs, then evaluate it. A
-    failing stage ends the sweep with its exit code and writes no table."""
+    `param` on copies of the earlier stages' outputs, then evaluate it. The
+    copies are made afresh on every sweep, so the manifest checks see the
+    parent's current outputs. A failing stage ends the sweep with its exit
+    code and writes no table."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE}")
     if not values:
         raise ConfigError("empty sweep value list")
     workdir = Path(cfg.workdir)
     started = time.time()
-    subs = []
-    for value in values:   # every value is checked before any stage runs
-        sub = dataclasses.replace(cfg, workdir=str(
-            workdir / f"ablate_{param}_{value:g}"))
+    subs = {}   # by directory; every value is checked before any stage runs
+    for value in values:
+        name = f"ablate_{param}_{value:g}"
+        if name in subs:
+            raise ConfigError(f"ablate {param}: values {subs[name][0]!r} and "
+                              f"{value!r} would share {name}")
+        sub = dataclasses.replace(cfg, workdir=str(workdir / name))
         try:
             setattr(sub, param, _checked(param, value, getattr(cfg, param)))
             sub.validate()
         except ConfigError as e:
             raise ConfigError(f"ablate {param} {value:g}: {e}") from e
-        subs.append(sub)
+        subs[name] = value, sub
     first = next(i for i, name in enumerate(PIPELINE)
                  if param in STAGES[name].fields)
     shared = [f for name in PIPELINE[:first]
-              for f in (*STAGES[name].outputs, f"{name}_manifest.json")]
+              for f in (*STAGES[name].outputs, f"{name}_manifest.json")
+              if (workdir / f).exists()]
     rows = []
-    for value, sub in zip(values, subs):
+    for value, sub in subs.values():
         subdir = Path(sub.workdir)
         subdir.mkdir(parents=True, exist_ok=True)
         for name in shared:
-            src, dst = workdir / name, subdir / name
-            if src.exists() and not dst.exists():
-                dst.write_bytes(src.read_bytes())
+            _write(subdir / name, (workdir / name).read_bytes())
         stages = [(name, "", ()) for name in PIPELINE[1:]] + [("eval", "_final", (
             (subdir / "pretrained.npz", "pretrain"),
             (subdir / "finetuned.npz", "finetune")))]
@@ -539,17 +549,15 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
         rows.append({param: value, **json.loads(
             (subdir / "report_final.json").read_text())})
     out = workdir / f"ablation_{param}.json"
-    out.write_text(json.dumps(rows, indent=2) + "\n")
+    _write(out, json.dumps(rows, indent=2) + "\n")
     flat = workdir / f"ablation_{param}.tsv"
-    with open(flat, "w") as f:
+    with atomic_open(flat) as f:
         f.write(f"{param}\tscr_before\tscr_after\tpscr_before\tpscr_after"
                 "\tfde_before\tfde_after\n")
         for row in rows:
-            f.write(f"{row[param]:g}\t{row['before']['scr']:.6f}"
-                    f"\t{row['after']['scr']:.6f}\t{row['before']['pscr']:.6f}"
-                    f"\t{row['after']['pscr']:.6f}"
-                    f"\t{row['before']['min_joint_fde']:.6f}"
-                    f"\t{row['after']['min_joint_fde']:.6f}\n")
+            f.write("\t".join([f"{row[param]:g}"] + [
+                f"{row[when][key]:.6f}" for key in ("scr", "pscr", "min_joint_fde")
+                for when in ("before", "after")]) + "\n")
     _write_manifest(workdir, f"ablate_{param}", cfg, [], [out, flat], started)
     return EXIT_OK
 

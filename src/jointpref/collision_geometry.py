@@ -6,15 +6,8 @@ strictly closer than a threshold at any future timestep.
 
 Every function takes modes shaped (..., A, T_fut, 2), e.g. one joint mode or
 a scene's (K, A, T_fut, 2) stack, and reduces per mode: a stack's k-th result
-equals the result for its k-th mode alone.
-
-Distances, hinges, unit vectors and gradient coefficients are computed on a
-pair axis of P = A(A-1)/2 entries, the agent pairs i < j in triu_indices
-order: a (j, i) entry repeats its (i, j) mirror, or negates it. The
-repeller sums still run over a zero (..., A, A, T[, 2]) tensor holding each
-pair value in both of its slots: numpy's pairwise summation order depends on
-that layout, so folding the mirrors into one pair sum (say 2 * sum) would
-change the low bits of every cost and gradient.
+equals the result for its k-th mode alone. All of them work on the
+P = A(A-1)/2 agent pairs i < j, in triu_indices(A, 1) order.
 """
 
 from __future__ import annotations
@@ -41,9 +34,9 @@ class RepellerParams:
 
 
 def _pair_geometry(modes: np.ndarray):
-    """Pair indices (iu, ju) of triu_indices(A, 1), the P = A(A-1)/2 pairs'
-    position differences modes[i] - modes[j] (..., P, T, 2) and their
-    distances (..., P, T)."""
+    """Pair indices (iu, ju) of triu_indices(A, 1), the pairs' position
+    differences modes[i] - modes[j] (..., P, T, 2) and their distances
+    (..., P, T)."""
     modes = np.asarray(modes, dtype=np.float64)
     if modes.ndim < 3 or modes.shape[-1] != 2:
         raise ValueError(f"modes must be (..., A, T_fut, 2), got {modes.shape}")
@@ -55,52 +48,26 @@ def _pair_geometry(modes: np.ndarray):
     return iu, ju, diff, np.sqrt(sq[..., 0] + sq[..., 1])
 
 
-def _square(upper: np.ndarray, lower: np.ndarray, iu, ju, a: int,
-            tail: int) -> np.ndarray:
-    """Zero (..., A, A, *tail dims) tensor with pair p's values upper[..., p,
-    ...] at (iu[p], ju[p]) and lower[..., p, ...] at (ju[p], iu[p])."""
-    lead = upper.shape[:upper.ndim - tail - 1]
-    out = np.zeros(lead + (a, a) + upper.shape[upper.ndim - tail:])
-    rest = (slice(None),) * tail
-    out[(..., iu, ju) + rest] = upper
-    out[(..., ju, iu) + rest] = lower
-    return out
-
-
 def pairwise_distances(modes: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every agent pair at every timestep.
-
-    modes: (..., A, T_fut, 2) trajectories. Returns an (..., A, A, T_fut)
-    tensor, symmetric in the two agent axes with a zero diagonal.
-    """
-    iu, ju, _, dist = _pair_geometry(modes)
-    return _square(dist, dist, iu, ju, np.shape(modes)[-3], 1)
+    """Euclidean distance between every agent pair i < j at every timestep,
+    (..., P, T_fut) in triu_indices(A, 1) pair order."""
+    return _pair_geometry(modes)[3]
 
 
-def repeller_cost(repeller: np.ndarray, epsilon: float = DEFAULT_EPSILON):
-    """Per-mode sum of proximity violations over their count (plus epsilon),
-    from an (..., A, A, T) hinge tensor."""
-    total = np.sum(repeller, axis=(-3, -2, -1))
-    count = np.count_nonzero(repeller > 0, axis=(-3, -2, -1))
-    return total / (count + epsilon)
-
-
-def _hinge(modes: np.ndarray, params: RepellerParams):
-    """Pair geometry, the pair hinge max(0, 1 - d/r) (..., P, T), and the
-    per-mode repeller cost: the sum over the (..., A, A, T) tensor holding
-    each hinge value in both of its pair's slots, over twice the pairs'
-    positive count."""
-    iu, ju, diff, dist = _pair_geometry(modes)
+def _repeller(dist: np.ndarray, params: RepellerParams):
+    """Per-mode repeller cost from (..., P, T) pair distances, with the mask
+    of its positive hinge entries and its denominator. The cost sums the
+    hinge max(0, 1 - d/r) over ordered agent pairs, so each pair twice, and
+    divides by twice the pairs' positive count plus epsilon."""
     hinge = np.maximum(1.0 - dist / params.r, 0.0)
-    total = _square(hinge, hinge, iu, ju, np.shape(modes)[-3], 1).sum(
-        axis=(-3, -2, -1))
-    count = 2 * np.count_nonzero(hinge > 0, axis=(-2, -1))
-    return (iu, ju, diff, dist), hinge, total / (count + params.epsilon)
+    active = hinge > 0
+    denom = 2 * np.count_nonzero(active, axis=(-2, -1)) + params.epsilon
+    return 2 * hinge.sum(axis=(-2, -1)) / denom, active, denom
 
 
 def mode_repeller_cost(modes: np.ndarray, params: RepellerParams):
     """Repeller cost of each joint mode straight from its trajectories."""
-    return _hinge(modes, params)[2]
+    return _repeller(pairwise_distances(modes), params)[0]
 
 
 def repeller_cost_grad(modes: np.ndarray, params: RepellerParams):
@@ -111,21 +78,18 @@ def repeller_cost_grad(modes: np.ndarray, params: RepellerParams):
     the hinge subgradient at d == r is 0, and coincident agents (d == 0)
     contribute no gradient.
     """
-    (iu, ju, diff, dist), hinge, cost = _hinge(modes, params)
-    active = hinge > 0
-    denom = 2 * np.count_nonzero(active, axis=(-2, -1)) + params.epsilon
-    # dR/dA[i,j,t] = 1/denom on active entries; dA/dd = -1/r where A > 0.
-    coeff = np.where(active, -1.0 / (params.r * denom[..., None, None]),
-                     0.0)[..., None]                          # (..., P, T, 1)
-    apart = dist[..., None] > 0
-    unit = diff / np.where(apart, dist[..., None], 1.0)
-    # d d_ij/d x_i = unit vector from j to i; both (i,j) and (j,i) slots
-    # count. The (j, i) unit is where(apart, -unit, 0), not -where(...),
-    # so coincident agents hold +0.0 in both slots.
-    contrib = _square(coeff * np.where(apart, unit, 0.0),
-                      coeff * np.where(apart, -unit, 0.0),
-                      iu, ju, np.shape(modes)[-3], 2)         # (..., A, A, T, 2)
-    return cost, contrib.sum(axis=-3) - contrib.sum(axis=-4)
+    iu, ju, diff, dist = _pair_geometry(modes)
+    cost, active, denom = _repeller(dist, params)
+    # d cost / d d_ij = -2 / (r * denom) on active entries, and d d_ij / d x_i
+    # is the unit vector from j to i, its negative for x_j; coincident
+    # agents' unit vector is 0, their difference over an infinite distance
+    coeff = np.where(active, -2.0 / (params.r * denom[..., None, None]), 0.0)
+    pulls = coeff[..., None] * (
+        diff / np.where(dist > 0, dist, np.inf)[..., None])
+    *lead, a, t, _ = np.shape(modes)
+    incidence = np.eye(a)[:, iu] - np.eye(a)[:, ju]           # (A, P)
+    return cost, (incidence @ pulls.reshape(*lead, iu.size, 2 * t)).reshape(
+        np.shape(modes))
 
 
 def joint_collision_counts(modes: np.ndarray,
@@ -136,5 +100,5 @@ def joint_collision_counts(modes: np.ndarray,
     """
     if threshold_m <= 0:
         raise ValueError("collision threshold must be positive")
-    min_dist = _pair_geometry(modes)[3].min(axis=-1)          # (..., pairs)
+    min_dist = pairwise_distances(modes).min(axis=-1)         # (..., P)
     return np.sum(min_dist < threshold_m, axis=-1)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +149,27 @@ def _scene_to_record(scene: Scene) -> dict:
     }
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file opened for writing in place of path: a sibling temp file that
+    replaces path when the block ends and is removed if the block raises,
+    so path never holds a partly written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_scenes(path, scenes, t_obs: int, t_fut: int) -> None:
     """Write scenes as JSON lines preceded by a header record.
 
     Round-trips coordinate values bit-exactly (shortest-repr floats).
     """
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         header = {"schema_version": SCHEMA_VERSION, "t_obs": t_obs, "t_fut": t_fut}
         f.write(json.dumps(header) + "\n")
         for scene in scenes:

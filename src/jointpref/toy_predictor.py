@@ -31,7 +31,7 @@ from .mode_aggregation import (
 from .po_losses import SimPOConfig, direct_cost_loss, pl_nll_grad, pl_nll_from_logits
 from .collision_geometry import RepellerParams
 from .preference_ranking import DEFAULT_LAMBDA, preference_cost
-from .scene_model import NonFiniteError, Scene
+from .scene_model import NonFiniteError, Scene, atomic_open
 from .scenegen import DT
 
 HIDDEN = 64
@@ -408,9 +408,10 @@ def save_checkpoint(path, params: dict) -> None:
     meta = dict(params["_meta"])
     meta["version"] = CHECKPOINT_VERSION
     meta["shapes"] = {k: list(np.asarray(params[k]).shape) for k in PARAM_KEYS}
-    arrays = {k: params[k] for k in PARAM_KEYS}
-    np.savez(path, _meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+    # given a file object, savez writes path as named, with no .npz added
+    with atomic_open(path, "wb") as f:
+        np.savez(f, _meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **{k: params[k] for k in PARAM_KEYS})
 
 
 def load_checkpoint(path) -> dict:

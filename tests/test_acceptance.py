@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from jointpref.cli import EXIT_OK, main
-from jointpref.collision_geometry import RepellerParams, pairwise_distances, repeller_cost
+from jointpref.collision_geometry import (
+    RepellerParams,
+    mode_repeller_cost,
+    pairwise_distances,
+)
 from jointpref.mode_aggregation import aggregate_to_joint, select_top_modes, softmax
 from jointpref.po_losses import (
     SimPOConfig,
@@ -97,9 +101,7 @@ def test_criterion_2_gradient_correctness():
         a = int(rng.integers(2, 5))
         gt = rng.normal(size=(a, 3, 2)) * 2
         modes = rng.normal(size=(k, a, 3, 2)) * 2
-        d = np.stack([pairwise_distances(m) for m in modes])
-        iu = np.triu_indices(a, k=1)
-        off = d[:, iu[0], iu[1]]
+        off = pairwise_distances(modes)                       # (K, P, T)
         # keep probes away from the hinge kink and coincident agents
         if np.any(np.abs(off - params.r) < 1e-3) or np.any(off < 1e-3):
             continue
@@ -134,10 +136,12 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_formula_fixtures():
     errs = []
-    # repeller aggregation: two 0.5 entries, eps = 1e-6
-    a = np.zeros((2, 2, 3))
-    a[0, 1, 1] = a[1, 0, 1] = 0.5
-    errs.append(abs(repeller_cost(a, 1e-6) - 1.0 / (2 + 1e-6)))
+    # repeller aggregation: agents 0.5 m apart at one of three steps, r = 1,
+    # give two 0.5 entries (one per agent order), eps = 1e-6
+    mode = np.zeros((2, 3, 2))
+    mode[1, :, 0] = [5.0, 0.5, 5.0]
+    rep = mode_repeller_cost(mode, RepellerParams(r=1.0, epsilon=1e-6))
+    errs.append(abs(rep - 1.0 / (2 + 1e-6)))
     # listwise loss scalar example: logits (1, 0), beta 2, gamma 5
     loss = pl_nll_from_logits(np.array([1.0, 0.0]), np.array([0, 1]),
                               SimPOConfig(beta=2.0, gamma=5.0))
@@ -170,28 +174,21 @@ def cli(workdir: Path, command, *extra, sets=()) -> int:
     return main(argv)
 
 
-def realism_report(workdir: Path, k: int = 6, top_n: int = 6) -> dict:
+def realism_report(workdir: Path, top_n: int = 6) -> dict:
     """Collapse fraction and speed statistics of the direct-cost model."""
     scenes, _ = read_scenes(workdir / "val.jsonl")
+    block = scene_block(scenes)
     params = load_checkpoint(workdir / "finetuned_direct.npz")
-    trajs, logits = forward(params, scene_block(scenes))
-    collapsed = 0
-    pred_speeds = []
-    gt_speeds = []
-    for scene, t, lg in zip(scenes, trajs, logits):
-        joint = select_top_modes(aggregate_to_joint(t, lg)[0], top_n)
-        min_d = np.inf
-        for mode in joint.modes:
-            d = pairwise_distances(mode)
-            iu = np.triu_indices(mode.shape[0], k=1)
-            if iu[0].size:
-                min_d = min(min_d, float(d[iu].min()))
-        if min_d < 0.2:
-            collapsed += 1
-        steps = np.diff(joint.modes, axis=2)
-        pred_speeds.append(np.linalg.norm(steps, axis=-1).mean() / DT)
-        gt_steps = np.diff(scene.ground_truth_futures, axis=1)
-        gt_speeds.append(np.linalg.norm(gt_steps, axis=-1).mean() / DT)
+    top = select_top_modes(aggregate_to_joint(*forward(params, block))[0],
+                           top_n).modes                       # (S, n, A, T, 2)
+    # a scene collapses when two agents of one of its top modes come within
+    # 0.2 m of each other
+    collapsed = int(np.sum(pairwise_distances(top).min(axis=(-3, -2, -1))
+                           < 0.2))
+    pred_speeds = np.linalg.norm(np.diff(top, axis=-2), axis=-1).mean(
+        axis=(-3, -2, -1)) / DT
+    gt_speeds = np.linalg.norm(np.diff(block.futures, axis=-2), axis=-1).mean(
+        axis=(-2, -1)) / DT
     gt_mean = float(np.mean(gt_speeds))
     gt_std = float(np.std(gt_speeds))
     pred_mean = float(np.mean(pred_speeds))
@@ -257,6 +254,7 @@ def load_comparison(workdir: Path) -> dict:
     return json.loads((workdir / "report_final.json").read_text())
 
 
+@pytest.mark.slow
 def test_criterion_4_consistency_gain(runs):
     comp = load_comparison(runs["a"])["comparison"]
     scr = comp["scr"]["relative_change_percent"]
@@ -270,6 +268,7 @@ def test_criterion_4_consistency_gain(runs):
            f"pipeline {runs['core_time_a']:.0f}s (need < 600)")
 
 
+@pytest.mark.slow
 def test_criterion_5_reward_margin_growth(runs):
     history = json.loads((runs["a"] / "finetune_history.json").read_text())
     gaps = history["epoch_reward_gap"]
@@ -277,6 +276,7 @@ def test_criterion_5_reward_margin_growth(runs):
     report(5, ok, f"reward gap epoch 1 -> 5: {gaps[0]:.3f} -> {gaps[4]:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_gamma_ablation_direction(runs):
     g5 = load_comparison(runs["a"])
     g0 = load_comparison(runs["a"] / "ablate_gamma_0")
@@ -291,6 +291,7 @@ def test_criterion_6_gamma_ablation_direction(runs):
            f"gamma=5 {scr_rel_g5:+.1f}%")
 
 
+@pytest.mark.slow
 def test_criterion_7_oversampling_trend(runs):
     k6 = load_comparison(runs["a"])["comparison"]["scr"]
     k12 = load_comparison(runs["a"] / "ablate_k_12")["comparison"]["scr"]
@@ -301,6 +302,7 @@ def test_criterion_7_oversampling_trend(runs):
            f"{k6['relative_change_percent']:+.1f}%")
 
 
+@pytest.mark.slow
 def test_criterion_8_degenerate_direct_optimization(runs):
     realism = json.loads((runs["a"] / "direct_realism.json").read_text())
     ok = (realism["collapse_fraction"] >= 0.10
@@ -312,6 +314,7 @@ def test_criterion_8_degenerate_direct_optimization(runs):
            f"({realism['speed_sigma_deviation']:.0f} sigma)")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(runs):
     mismatched = [name for name in REPORT_FILES
                   if (runs["a"] / name).read_bytes()

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jointpref import cli, scenegen, toy_predictor
+from jointpref import cli, scene_model, scenegen, toy_predictor
 from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -298,6 +298,20 @@ class TestStale:
         assert ("pretrained.npz is not the file extract_manifest.json records"
                 in capsys.readouterr().err)
 
+    def test_interrupted_stage_leaves_no_partial_output(self, tmp_path,
+                                                        monkeypatch,
+                                                        fail_on_call):
+        # gen dies while writing val.jsonl, after train.jsonl went out
+        # whole: the 45th record is the 5th of 10 val scenes
+        fail_on_call(scene_model, "_scene_to_record", 45, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path, "gen")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl"]
+        monkeypatch.undo()
+        assert run(tmp_path, "gen") == EXIT_CONFIG   # no gen_manifest.json
+        assert run(tmp_path, "gen", force=True) == EXIT_OK
+        assert len((tmp_path / "val.jsonl").read_text().splitlines()) == 11
+
     @pytest.mark.parametrize("edit,named", [
         (lambda path: path.unlink(), "is missing"),
         (lambda path: path.write_text("[]"), "does not record"),
@@ -389,6 +403,7 @@ def test_stage_reads_only_its_declared_fields(pretrained, tmp_path,
 
 
 class TestDefaultExtraction:
+    @pytest.mark.slow
     def test_fraction_in_band_on_default_data(self, tmp_path):
         # full-scale run on the default configuration (several minutes):
         # the extracted preference subset must be a minority of training
@@ -447,6 +462,33 @@ class TestAblate:
         assert (sub / "subset.txt").read_text() == \
             (tmp_path / "subset.txt").read_text()
 
+    def test_copies_follow_the_parent_run(self, tmp_path, capsys):
+        # the parent's gen, pretrain and extract are rebuilt at another
+        # seed after a gamma sweep copied them: the sweep's copies follow
+        for cmd in ("gen", "pretrain", "extract", "finetune"):
+            assert run(tmp_path, cmd) == EXIT_OK
+        assert run(tmp_path, "ablate", "gamma", "0") == EXIT_OK
+        seed1 = [("seed", "1")]
+        for cmd in ("gen", "pretrain", "extract"):
+            assert run(tmp_path, cmd, sets=seed1, force=True) == EXIT_OK
+        sub = tmp_path / "ablate_gamma_0"
+        shared = ("train.jsonl", "pretrained.npz", "subset.txt")
+        # without --force the copies are refreshed and the sweep's finetune
+        # is reported stale against them
+        capsys.readouterr()
+        assert run(tmp_path, "ablate", "gamma", "0", sets=seed1) == EXIT_CONFIG
+        assert "finetuned.npz is stale" in capsys.readouterr().err
+        for name in (*shared, "pretrain_manifest.json",
+                     "extract_manifest.json"):
+            assert (sub / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert run(tmp_path, "ablate", "gamma", "0", sets=seed1,
+                   force=True) == EXIT_OK
+        for name in shared:
+            assert (sub / name).read_bytes() == (tmp_path / name).read_bytes()
+        manifest = json.loads((sub / "finetune_manifest.json").read_text())
+        assert manifest["input_hashes"]["train.jsonl"] == \
+            cli._hash_file(tmp_path / "train.jsonl")
+
 
 @pytest.fixture(scope="module")
 def pretrained(tmp_path_factory):
@@ -472,6 +514,18 @@ class TestMisuse:
         assert run(tmp_path, "ablate", "k", *values) == EXIT_CONFIG
         assert f"ablate k {named}" in capsys.readouterr().err
         # checked before the first value's stages ran
+        assert not list(tmp_path.glob("ablate_*"))
+
+    @pytest.mark.parametrize("values,named", [
+        (["1", "1.0000001"], "values 1.0 and 1.0000001"),
+        (["0", "0"], "values 0.0 and 0.0"),
+    ])
+    def test_sweep_values_sharing_a_directory(self, tmp_path, capsys, values,
+                                              named):
+        assert run(tmp_path, "ablate", "gamma", *values) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"ablate gamma: {named}" in err
+        assert "ablate_gamma_" in err
         assert not list(tmp_path.glob("ablate_*"))
 
     def test_bad_gamma_sweep_value(self, tmp_path, capsys):

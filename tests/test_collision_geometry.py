@@ -7,7 +7,6 @@ from jointpref.collision_geometry import (
     joint_collision_counts,
     mode_repeller_cost,
     pairwise_distances,
-    repeller_cost,
     repeller_cost_grad,
 )
 
@@ -22,6 +21,21 @@ def pairwise_ref(modes):
     modes = np.asarray(modes, dtype=np.float64)
     diff = modes[..., :, None, :, :] - modes[..., None, :, :, :]
     return diff, np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def repeller_cost_ref(repeller, epsilon):
+    """Per-mode sum of an (..., A, A, T) hinge tensor over its positive
+    count plus epsilon."""
+    total = np.sum(repeller, axis=(-3, -2, -1))
+    count = np.count_nonzero(repeller > 0, axis=(-3, -2, -1))
+    return total / (count + epsilon)
+
+
+def pair_entries(full):
+    """The (i, j) entries, i < j, of an (..., A, A, T) pair tensor as
+    (..., P, T) in triu_indices order."""
+    iu, ju = np.triu_indices(full.shape[-2], k=1)
+    return full[..., iu, ju, :]
 
 
 def repeller_matrix_ref(delta, params):
@@ -42,14 +56,13 @@ def repeller_cost_grad_ref(modes, params):
     coeff = np.where(active, -1.0 / (params.r * denom[..., None, None, None]),
                      0.0)
     contrib = coeff[..., None] * unit
-    return (repeller_cost(repeller, params.epsilon),
+    return (repeller_cost_ref(repeller, params.epsilon),
             contrib.sum(axis=-3) - contrib.sum(axis=-4))
 
 
 def joint_collision_counts_ref(modes, threshold_m):
-    delta = pairwise_ref(modes)[1]
-    iu, ju = np.triu_indices(delta.shape[-2], k=1)
-    return np.sum(delta[..., iu, ju, :].min(axis=-1) < threshold_m, axis=-1)
+    delta = pair_entries(pairwise_ref(modes)[1])
+    return np.sum(delta.min(axis=-1) < threshold_m, axis=-1)
 
 
 def straight(start, vel, t=5, dt=0.1):
@@ -61,25 +74,26 @@ class TestPairwiseDistances:
     def test_three_four_five(self):
         mode = np.stack([np.tile([0.0, 0.0], (4, 1)), np.tile([3.0, 4.0], (4, 1))])
         d = pairwise_distances(mode)
-        assert d.shape == (2, 2, 4)
-        assert np.allclose(d[0, 1], 5.0)
-        assert np.allclose(d[1, 0], 5.0)
-        assert np.all(d[0, 0] == 0) and np.all(d[1, 1] == 0)
+        assert d.shape == (1, 4)
+        assert np.allclose(d[0], 5.0)
 
     def test_single_agent(self):
-        d = pairwise_distances(np.zeros((1, 7, 2)))
-        assert d.shape == (1, 1, 7)
-        assert np.all(d == 0)
+        assert pairwise_distances(np.zeros((1, 7, 2))).shape == (0, 7)
+
+    def test_stack_shape(self):
+        assert pairwise_distances(np.zeros((2, 5, 4, 7, 2))).shape \
+            == (2, 5, 6, 7)
 
     def test_crossing_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         mode = rng.normal(size=(3, 6, 2)) * 4
         d = pairwise_distances(mode)
-        for i in range(3):
-            for j in range(3):
-                for t in range(6):
-                    expected = np.hypot(*(mode[i, t] - mode[j, t]))
-                    assert d[i, j, t] == pytest.approx(expected, abs=1e-12)
+        pairs = [(0, 1), (0, 2), (1, 2)]   # triu_indices(3, 1) order
+        assert d.shape == (len(pairs), 6)
+        for p, (i, j) in enumerate(pairs):
+            for t in range(6):
+                expected = np.hypot(*(mode[i, t] - mode[j, t]))
+                assert d[p, t] == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -87,8 +101,8 @@ class TestPairwiseDistances:
 
 
 class TestRepellerMatrix:
-    """The hinge max(0, 1 - d/r) as mode_repeller_cost sums it over the
-    A x A pair tensor, off the diagonal only."""
+    """The hinge max(0, 1 - d/r) as mode_repeller_cost sums it over
+    ordered agent pairs, never an agent with itself."""
 
     def test_far_apart_is_zero(self):
         mode = np.stack([straight([0, 0], [1, 0]), straight([0, 10], [1, 0])])
@@ -120,19 +134,27 @@ class TestRepellerMatrix:
 
 
 class TestRepellerCost:
+    """The cost's sum over count plus epsilon, on modes whose hinge
+    entries are known."""
+
     def test_zero_tensor(self):
-        assert repeller_cost(np.zeros((2, 2, 5)), 1e-6) == 0.0
+        # three agents on lanes 5 m apart: every hinge entry is 0
+        mode = np.stack([straight([0, y], [1, 0]) for y in (0, 5, 10)])
+        assert mode_repeller_cost(mode, RepellerParams(r=1.0)) == 0.0
 
     def test_two_half_entries(self):
-        a = np.zeros((2, 2, 3))
-        a[0, 1, 1] = a[1, 0, 1] = 0.5
-        assert repeller_cost(a, 1e-6) == pytest.approx(1.0 / (2 + 1e-6), abs=1e-15)
+        # d = 0.5 at one step with r = 1: two 0.5 entries, one per order
+        mode = np.zeros((2, 3, 2))
+        mode[1, :, 0] = [5.0, 0.5, 5.0]
+        cost = mode_repeller_cost(mode, RepellerParams(r=1.0, epsilon=1e-6))
+        assert cost == pytest.approx(1.0 / (2 + 1e-6), abs=1e-15)
 
     def test_all_ones_offdiagonal(self):
-        a = np.zeros((2, 2, 1))
-        a[0, 1, 0] = a[1, 0, 0] = 1.0
+        # d = 0 at the one step: two hinge entries of 1
         eps = 1e-6
-        assert repeller_cost(a, eps) == pytest.approx(2.0 / (2 + eps), abs=1e-15)
+        cost = mode_repeller_cost(np.zeros((2, 1, 2)),
+                                  RepellerParams(r=1.0, epsilon=eps))
+        assert cost == pytest.approx(2.0 / (2 + eps), abs=1e-15)
 
     def test_monotone_in_proximity(self):
         # moving one agent closer (below r) never decreases the cost
@@ -159,8 +181,7 @@ class TestRepellerGrad:
         checked = 0
         while checked < 10:
             mode = rng.normal(size=(3, 4, 2)) * 0.8
-            d = pairwise_distances(mode)
-            off = d[np.triu_indices(3, k=1)[0], np.triu_indices(3, k=1)[1]]
+            off = pairwise_distances(mode)
             # stay away from the hinge kink and coincident points
             if np.any(np.abs(off - params.r) < 1e-3) or np.any(off < 1e-3):
                 continue
@@ -198,8 +219,8 @@ class TestRepellerGrad:
         modes = (rng.integers(-3, 4, size=(k, a, t, 2)) * 0.5 if grid
                  else rng.normal(size=(k, a, t, 2)))
         modes[:, :3, 0] = [[0.0, 0.0], [0.0, 0.0], [r, 0.0]]
-        delta = pairwise_distances(modes)
-        assert np.all(delta[:, 0, 1, 0] == 0) and np.all(delta[:, 0, 2, 0] == r)
+        delta = pairwise_distances(modes)   # pairs (0, 1), (0, 2) first
+        assert np.all(delta[:, 0, 0] == 0) and np.all(delta[:, 1, 0] == r)
         params = RepellerParams(r=r)
         cost, grad = repeller_cost_grad(modes, params)
         assert cost.tobytes() == mode_repeller_cost(modes, params).tobytes()
@@ -252,14 +273,8 @@ class TestStackMatchesEachMode:
     def test_every_batched_function(self, k, a, t, seed, scale):
         params = RepellerParams(r=1.0)
         modes = np.random.default_rng(seed).normal(size=(k, a, t, 2)) * scale
-        delta = pairwise_distances(modes)
-        rep = repeller_matrix_ref(delta, params)
         batched = {
-            "distances": (delta, pairwise_distances),
-            "cost_of_matrix": (repeller_cost(rep, params.epsilon),
-                               lambda m: repeller_cost(repeller_matrix_ref(
-                                   pairwise_distances(m), params),
-                                   params.epsilon)),
+            "distances": (pairwise_distances(modes), pairwise_distances),
             "cost": (mode_repeller_cost(modes, params),
                      lambda m: mode_repeller_cost(m, params)),
             "grad": (repeller_cost_grad(modes, params)[1],
@@ -301,9 +316,12 @@ def same_bits(x, y):
 
 
 class TestMatchesFullTensorReference:
-    """The pair path gives the bits of the full A x A tensor reference:
-    every pair quantity is the same float, and the sums still run over the
-    A x A layout, so numpy adds in the same order."""
+    """The pair path against the full A x A tensor reference: distances,
+    gradient and collision counts keep its bits. The gradient's zero-padded
+    sums over the tensor add the same nonzero terms in the same order as
+    the incidence contraction; the cost's pair sum runs in another order,
+    so it may differ in the last bits, but is zero exactly where the
+    reference is."""
 
     @given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 12),
            st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1),
@@ -312,20 +330,24 @@ class TestMatchesFullTensorReference:
     def test_bit_identical(self, lead, k, a, t, seed, r, grid):
         modes = edge_modes(lead, k, a, t, seed, r, grid)
         params = RepellerParams(r=r)
-        assert same_bits(pairwise_distances(modes), pairwise_ref(modes)[1])
+        assert same_bits(pairwise_distances(modes),
+                         pair_entries(pairwise_ref(modes)[1]))
         ref_cost, ref_grad = repeller_cost_grad_ref(modes, params)
-        assert same_bits(mode_repeller_cost(modes, params), ref_cost)
         cost, grad = repeller_cost_grad(modes, params)
-        assert same_bits(cost, ref_cost)
+        assert same_bits(cost, mode_repeller_cost(modes, params))
+        assert cost.shape == ref_cost.shape
+        np.testing.assert_array_equal(cost == 0, ref_cost == 0)
+        np.testing.assert_allclose(cost, ref_cost, rtol=8 * np.finfo(float).eps,
+                                   atol=0)
         assert same_bits(grad, ref_grad)
         assert same_bits(joint_collision_counts(modes, r),
                          joint_collision_counts_ref(modes, r))
 
     def test_edge_cases_are_present(self):
         modes = edge_modes([], 2, 3, 2, 0, 1.0, False)
-        d = pairwise_distances(modes)
-        assert np.all(d[:, 0, 1, 0] == 0) and np.all(d[:, 0, 2, 0] == 1.0)
-        assert np.all(d[:, 0, 1, 1] == 1.0)
+        d = pairwise_distances(modes)   # pairs (0, 1), (0, 2), (1, 2)
+        assert np.all(d[:, 0, 0] == 0) and np.all(d[:, 1, 0] == 1.0)
+        assert np.all(d[:, 0, 1] == 1.0)
 
 
 def test_invalid_params_rejected():

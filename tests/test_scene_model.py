@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jointpref import scene_model
 from jointpref.mode_aggregation import aggregate_to_joint
 from jointpref.scene_model import (
     SCHEMA_VERSION,
@@ -12,6 +13,7 @@ from jointpref.scene_model import (
     NonFiniteError,
     Scene,
     SceneFileError,
+    atomic_open,
     read_scenes,
     validate_scene,
     write_scenes,
@@ -225,3 +227,33 @@ class TestRoundTrip:
                         + json.dumps({"scene_id": "x"}) + "\n")
         with pytest.raises(SceneFileError, match="line 2"):
             read_scenes(path)
+
+
+class TestAtomicWrite:
+    def test_interrupted_write_leaves_no_file(self, tmp_path, fail_on_call):
+        # the third scene's record raises after the header and two scenes
+        # went to the temp file
+        fail_on_call(scene_model, "_scene_to_record", 3)
+        path = tmp_path / "scenes.jsonl"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_scenes(path, [make_scene(f"s{i}", seed=i) for i in range(5)],
+                         t_obs=10, t_fut=30)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as f:
+                f.write("new, partly\n")
+                raise RuntimeError("write interrupted")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with atomic_open(path, "wb") as f:
+            f.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [path]

@@ -354,6 +354,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(t0, t1)
         np.testing.assert_array_equal(l0, l1)
 
+    def test_interrupted_save_leaves_no_file(self, params, tmp_path,
+                                             fail_on_call):
+        # the second array raises after _meta went out
+        fail_on_call(np.lib.format, "write_array", 2)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_checkpoint(tmp_path / "model.npz", params)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_kept_as_named(self, params, tmp_path):
+        save_checkpoint(tmp_path / "model", params)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        assert load_checkpoint(tmp_path / "model")["_meta"] == params["_meta"]
+
     def test_unknown_version_rejected(self, params, tmp_path):
         import json
 
