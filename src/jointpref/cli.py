@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import resource
 import sys
 import time
@@ -467,7 +468,7 @@ def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
             _check_current(manifest, cfg, stage.fields, inputs, outputs)
         except ConfigError as e:
             raise ConfigError(f"{outputs[0]} is stale: {e}; "
-                              "use --force to rebuild") from e
+                              f"rerun {name} with --force to rebuild it") from e
         print(f"{outputs[0]} exists; skipping (use --force to rebuild)")
         return EXIT_OK
     started = time.time()
@@ -504,10 +505,12 @@ SWEEPABLE = ("gamma", "lam", "k")
 
 def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> int:
     """Per value, rerun the pipeline from the first stage that reads
-    `param` on copies of the earlier stages' outputs, then evaluate it. The
-    copies are made afresh on every sweep, so the manifest checks see the
-    parent's current outputs. A failing stage ends the sweep with its exit
-    code and writes no table."""
+    `param` on copies of the earlier stages' outputs, then evaluate it.
+    Those earlier stages run once, in the parent and never forced: built
+    when missing, skipped when current, exit 2 when stale. The copies are
+    made afresh on every sweep, so the manifest checks see the parent's
+    current outputs; `force` reaches only the swept stages and eval. A
+    failing stage ends the sweep with its exit code and writes no table."""
     if param not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE}")
     if not values:
@@ -529,18 +532,25 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
         subs[name] = value, sub
     first = next(i for i, name in enumerate(PIPELINE)
                  if param in STAGES[name].fields)
+    for name in PIPELINE[:first]:
+        try:
+            code = _run(cfg, False, name)
+        except ConfigError as e:
+            raise ConfigError(f"ablate {param}: {e}") from e
+        if code:
+            print(f"ablate {param}: {name} failed", file=sys.stderr)
+            return code
     shared = [f for name in PIPELINE[:first]
-              for f in (*STAGES[name].outputs, f"{name}_manifest.json")
-              if (workdir / f).exists()]
+              for f in (*STAGES[name].outputs, f"{name}_manifest.json")]
     rows = []
     for value, sub in subs.values():
         subdir = Path(sub.workdir)
         subdir.mkdir(parents=True, exist_ok=True)
         for name in shared:
             _write(subdir / name, (workdir / name).read_bytes())
-        stages = [(name, "", ()) for name in PIPELINE[1:]] + [("eval", "_final", (
-            (subdir / "pretrained.npz", "pretrain"),
-            (subdir / "finetuned.npz", "finetune")))]
+        stages = [(name, "", ()) for name in PIPELINE[first:]] + [
+            ("eval", "_final", ((subdir / "pretrained.npz", "pretrain"),
+                                (subdir / "finetuned.npz", "finetune")))]
         for name, suffix, checkpoints in stages:
             code = _run(sub, force, name, suffix, checkpoints)
             if code:
@@ -562,8 +572,16 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
     return EXIT_OK
 
 
+def _tag(tag: str) -> str:
+    """tag, if it is a plain file-name part; else ConfigError naming it."""
+    if not re.fullmatch(r"[\w.-]+", tag):
+        raise ConfigError(f"--tag {tag!r}: use only letters, digits, "
+                          "'.', '_' and '-'")
+    return tag
+
+
 def cmd_report(cfg: RunConfig, tag: str) -> int:
-    path = Path(cfg.workdir) / f"report_{tag}.json"
+    path = Path(cfg.workdir) / f"report_{_tag(tag)}.json"
     _require(path, "eval")
     print(path.read_text())
     return EXIT_OK
@@ -607,7 +625,8 @@ COMMANDS = {
     "finetune": lambda cfg, args: _run(
         cfg, args.force, "finetune", "" if args.objective == "simpo"
         else "_direct", objective=args.objective),
-    "eval": lambda cfg, args: _run(cfg, args.force, "eval", f"_{args.tag}",
+    "eval": lambda cfg, args: _run(cfg, args.force, "eval",
+                                   f"_{_tag(args.tag)}",
                                    _eval_checkpoints(cfg, args)),
     "ablate": lambda cfg, args: cmd_ablate(cfg, args.force, args.param,
                                            args.values),

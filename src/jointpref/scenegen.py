@@ -8,6 +8,11 @@ follow (single lane, spaced platoon) and parallel (separate lanes).
 Past tracks run at constant speed, so in crossing scenes who yields is only
 weakly observable before the future begins; that ambiguity is what makes
 the predictor produce colliding joint modes worth fine-tuning away.
+
+Every kind draws its agents' starts, headings and per-step speeds as arrays
+and builds all of a scene's straight tracks in one `_tracks` call; a
+crossing or merge scene makes one such call per attempt at a collision-free
+ground truth.
 """
 
 from __future__ import annotations
@@ -46,11 +51,18 @@ class ScenarioSpec:
             raise ValueError("noise_std must be nonnegative")
 
 
-def _rollout(start: np.ndarray, heading: float, speeds: np.ndarray) -> np.ndarray:
-    """Positions after each step of a straight path with per-step speeds."""
-    direction = np.array([math.cos(heading), math.sin(heading)])
-    arc = np.cumsum(speeds) * DT
-    return start[None, :] + arc[:, None] * direction[None, :]
+def _tracks(starts: np.ndarray, headings: np.ndarray,
+            step_speeds: np.ndarray) -> np.ndarray:
+    """(A, S+1, 2) straight tracks from (A, 2) starts, (A,) headings and
+    (A, S) per-step speeds: row 0 is the starts, row s+1 each start moved
+    cumsum(step_speeds)[:, s] * DT along its agent's heading."""
+    directions = np.array([(math.cos(h), math.sin(h)) for h in headings])
+    arc = np.cumsum(step_speeds, axis=1) * DT
+    tracks = np.empty((len(starts), arc.shape[1] + 1, 2))
+    # assigned, not added to 0 * direction, so a -0.0 start keeps its sign
+    tracks[:, 0] = starts
+    tracks[:, 1:] = starts[:, None] + arc[..., None] * directions[:, None]
+    return tracks
 
 
 def _min_future_gap(futures: np.ndarray) -> float:
@@ -62,14 +74,14 @@ def _crossing_like(spec: ScenarioSpec, rng: np.random.Generator,
     """Full (A, T_obs+T_fut, 2) noise-free tracks for crossing/merge scenes."""
     a = spec.num_agents
     speeds = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS, size=a)
+    base = rng.uniform(0, 2 * math.pi)
     if merge:
-        base = rng.uniform(0, 2 * math.pi)
         spread = rng.uniform(0.25, 0.5)
         headings = base + np.linspace(-spread / 2, spread / 2, a)
     else:
-        base = rng.uniform(0, 2 * math.pi)
         gap = rng.uniform(CROSSING_ANGLE_MIN, CROSSING_ANGLE_MAX)
         headings = base + np.arange(a) * gap
+    directions = np.array([(math.cos(h), math.sin(h)) for h in headings])
     # rank[i] = i's arrival priority at the conflict point (0 goes first)
     rank = rng.permutation(a)
     # time to conflict at t=0: roughly mid-future, nearly simultaneous
@@ -78,25 +90,20 @@ def _crossing_like(spec: ScenarioSpec, rng: np.random.Generator,
     # lower-priority agents start slightly farther out: a weak observable cue
     time_to_conflict = t_conflict + jitter + 0.08 * rank
 
-    total = t_obs + t_fut
-    tracks = np.zeros((a, total, 2))
+    # yielders decelerate over a window after observation ends
+    window = slice(t_obs, t_obs + int(0.7 * t_fut))
     slow_frac = 0.45
     stagger = 0.0
     for attempt in range(16):
-        for i in range(a):
-            step_speeds = np.full(total, speeds[i])
-            if rank[i] > 0:
-                # yield: decelerate over a window after observation ends
-                w0 = t_obs
-                w1 = t_obs + int(0.7 * t_fut)
-                step_speeds[w0:w1] *= slow_frac ** rank[i]
-            dist0 = speeds[i] * (time_to_conflict[i] + stagger * rank[i])
-            direction = np.array([math.cos(headings[i]), math.sin(headings[i])])
-            conflict = np.zeros(2)
-            # position at the last observed step is dist0 short of the conflict
-            start = conflict - direction * (dist0 + speeds[i] * DT * (t_obs - 1))
-            tracks[i] = np.vstack([start, _rollout(start, headings[i],
-                                                   step_speeds[:-1])])
+        step_speeds = np.repeat(speeds[:, None], t_obs + t_fut - 1, axis=1)
+        # scalar powers, one per agent: an array power rounds differently
+        step_speeds[:, window] *= np.array([[slow_frac ** r] for r in rank])
+        dist0 = speeds * (time_to_conflict + stagger * rank)
+        # the last observed position is dist0 short of the conflict point,
+        # which is the origin
+        reach = dist0 + speeds * DT * (t_obs - 1)
+        starts = np.zeros(2) - directions * reach[:, None]
+        tracks = _tracks(starts, headings, step_speeds)
         if _min_future_gap(tracks[:, t_obs:]) >= YIELD_GAP_M:
             return tracks
         # strengthen the yield and, failing that, start yielders farther back
@@ -112,24 +119,18 @@ def _lane_like(spec: ScenarioSpec, rng: np.random.Generator,
     heading = rng.uniform(0, 2 * math.pi)
     direction = np.array([math.cos(heading), math.sin(heading)])
     normal = np.array([-direction[1], direction[0]])
-    total = t_obs + t_fut
-    tracks = np.zeros((a, total, 2))
     if parallel:
         speeds = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS, size=a)
         offsets = (np.arange(a) - (a - 1) / 2) * rng.uniform(3.0, 5.0)
         along = rng.uniform(-5.0, 5.0, size=a)
     else:
         # follow: shared speed, longitudinal spacing
-        speed = rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS)
-        speeds = np.full(a, speed)
+        speeds = np.full(a, rng.uniform(SPEED_MIN_MPS, SPEED_MAX_MPS))
         offsets = np.zeros(a)
-        spacing = rng.uniform(6.0, 10.0)
-        along = -np.arange(a) * spacing
-    for i in range(a):
-        start = along[i] * direction + offsets[i] * normal
-        step_speeds = np.full(total - 1, speeds[i])
-        tracks[i] = np.vstack([start, _rollout(start, heading, step_speeds)])
-    return tracks
+        along = -np.arange(a) * rng.uniform(6.0, 10.0)
+    starts = along[:, None] * direction + offsets[:, None] * normal
+    step_speeds = np.repeat(speeds[:, None], t_obs + t_fut - 1, axis=1)
+    return _tracks(starts, np.full(a, heading), step_speeds)
 
 
 def generate_scene(spec: ScenarioSpec, seed: int, scene_id: str | None = None,

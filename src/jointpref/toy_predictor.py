@@ -62,6 +62,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
         if self.objective not in ("pretrain", "simpo", "direct-cost"):
             raise ValueError(f"unknown objective {self.objective!r}")
 

@@ -489,6 +489,43 @@ class TestAblate:
         assert manifest["input_hashes"]["train.jsonl"] == \
             cli._hash_file(tmp_path / "train.jsonl")
 
+    def test_stale_parent_stage_stops_the_sweep(self, pretrained, tmp_path,
+                                                capsys):
+        # the shared stages are never forced from a sweep: the parent's
+        # seed-0 split is stale at seed 1 even under --force
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "ablate", "gamma", "0", sets=[("seed", "1")],
+                   force=True) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"ablate gamma: {workdir / 'train.jsonl'} is stale: seed: "
+                "gen_manifest.json has 0, the config has 1; "
+                "rerun gen with --force to rebuild it") in err
+        assert not list(workdir.glob("ablate_*"))
+
+    def test_force_reaches_only_the_swept_stages(self, pretrained, tmp_path,
+                                                 capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        for cmd in ("extract", "finetune"):
+            assert run(workdir, cmd) == EXIT_OK
+        capsys.readouterr()
+        assert run(workdir, "ablate", "gamma", "0", "5", force=True) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "pretrain epoch" not in out
+        assert "extracted" not in out
+        assert out.count("finetune[simpo] epoch 0:") == 2
+
+    def test_shared_stages_run_once_in_the_parent(self, tmp_path, capsys):
+        assert run(tmp_path, "gen") == EXIT_OK
+        capsys.readouterr()
+        assert run(tmp_path, "ablate", "gamma", "0", "5") == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("pretrain epoch 0:") == 1
+        assert out.count("extracted") == 1
+        for name in ("pretrained.npz", "pretrain_manifest.json", "subset.txt"):
+            for value in ("0", "5"):
+                assert (tmp_path / f"ablate_gamma_{value}" / name).read_bytes() \
+                    == (tmp_path / name).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def pretrained(tmp_path_factory):
@@ -546,6 +583,16 @@ class TestMisuse:
         assert run(workdir, "eval", *argv, "--tag", "x") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (workdir / "report_x.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("tag", ["a/b", "../x", "", "a b", "x\\y"])
+    def test_tag_not_a_plain_name(self, pretrained, tmp_path, capsys,
+                                  command, tag):
+        workdir = copy_run(pretrained, tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(workdir, command, "--tag", tag) == EXIT_CONFIG
+        assert f"--tag {tag!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--before", "--after"])
     @pytest.mark.parametrize("name,stage", [

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from jointpref.scenegen import (
     generate_dataset,
     generate_scene,
 )
-from jointpref.scene_model import validate_scene
+from jointpref.scene_model import _scene_to_record, validate_scene
 
 
 class TestScenarioSpec:
@@ -125,6 +127,35 @@ class TestGenerateScene:
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=seed)
         assert validate_scene(scene) == []
         assert min_future_gap(scene) >= 1.0
+
+
+# (kind, num_agents, seed) at default horizons and noise whose crossing
+# ground truth cannot be made collision-free
+PINNED_FAILURES = [
+    ("crossing", 3, 69), ("crossing", 3, 89), ("crossing", 4, 14),
+    ("crossing", 4, 37), ("crossing", 4, 95), ("crossing", 5, 40),
+    ("crossing", 6, 25), ("crossing", 6, 52), ("merge", 4, 31),
+    ("merge", 5, 35), ("merge", 6, 2), ("merge", 6, 11), ("merge", 6, 52),
+]
+
+
+def test_generated_scenes_pinned():
+    # every kind at every agent count over 100 seeds: the scenes that build
+    # keep their file records byte for byte; the hash skips the listed
+    # failing seeds, so it stays valid when some of them start to build
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for a in range(2, 7):
+            spec = ScenarioSpec(kind=kind, num_agents=a)
+            for seed in range(100):
+                if (kind, a, seed) in PINNED_FAILURES:
+                    with pytest.raises(ValueError, match="collision-free"):
+                        generate_scene(spec, seed)
+                    continue
+                record = _scene_to_record(generate_scene(spec, seed))
+                digest.update((json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == (
+        "10c9f9d1ef635f067f6086e49070d8ce877581320aa511ddf603ed57c3afca02")
 
 
 def test_colliding_ground_truth_raises(monkeypatch):

@@ -313,6 +313,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=1e-5, objective="adversarial")
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -3),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", 1.5)])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(learning_rate=1e-5, **{field: value})
+
 
 class TestLogitHeadIsolation:
     def test_logit_only_updates_leave_trajectories_untouched(self, scenes):
