@@ -120,7 +120,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.t_obs < 2:
             raise ConfigError("t_obs must be >= 2 (velocities need two steps)")
-        for name in ("n_val", "delta", *WEIGHTS):   # 0 weight: kind left out
+        # 0 weight: kind left out; 0 lam: modes ranked by avgFDE alone
+        for name in ("n_val", "delta", "lam", *WEIGHTS):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not 0 <= self.pretrain_momentum < 1:
@@ -171,6 +172,7 @@ def _parse_json(text: str, source: str):
 
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -178,14 +180,13 @@ def load_config(args) -> RunConfig:
         data = _parse_json(path.read_text(), str(path))
         if not isinstance(data, dict):
             raise ConfigError(f"{path} must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
             setattr(cfg, key, _checked(key, value, getattr(cfg, key)))
     for key, value in (args.set or []):
-        if not hasattr(cfg, key):
+        if key not in known:
             raise ConfigError(f"unknown config key: {key}")
         current = getattr(cfg, key)
         if not isinstance(current, str):
@@ -240,12 +241,16 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
            json.dumps(manifest, indent=2) + "\n")
 
 
-def _require(path: Path, step: str | None) -> Path:
-    """path if it exists; else MissingArtifact naming the stage that writes
-    it, when one does."""
+def _require(path: Path) -> Path:
+    """path if it exists; else MissingArtifact naming the stage whose output
+    template its file name fits, when one does."""
     if not path.exists():
+        maker = next((name for name, stage in STAGES.items()
+                      for out in stage.outputs
+                      if fnmatch.fnmatchcase(path.name,
+                                             out.format(suffix="*"))), None)
         raise MissingArtifact(f"missing {path.name}"
-                              + (f"; run '{step}' first" if step else ""))
+                              + (f"; run '{maker}' first" if maker else ""))
     return path
 
 
@@ -350,12 +355,8 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
         repeller_params=cfg.repeller(), delta=cfg.delta,
         threshold=cfg.collision_threshold)
     _write(out, "".join(sid + "\n" for sid in kept))
-    _write(summary_path, json.dumps({
-        "total": summary.total, "extracted": summary.extracted,
-        "fraction": summary.fraction,
-        "collision_branch_count": summary.collision_branch_count,
-        "spread_branch_count": summary.spread_branch_count,
-    }, indent=2) + "\n")
+    _write(summary_path,
+           json.dumps(dataclasses.asdict(summary), indent=2) + "\n")
     print(f"extracted {summary.extracted}/{summary.total} scenes "
           f"({summary.fraction:.1%})")
 
@@ -386,7 +387,8 @@ def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
     if len(checkpoints) == 2:
         rb, _ = _eval_checkpoint(cfg, split, checkpoints[0])
         ra, _ = _eval_checkpoint(cfg, split, checkpoints[1])
-        payload = {"before": rb.to_dict(), "after": ra.to_dict(),
+        payload = {"before": dataclasses.asdict(rb),
+                   "after": dataclasses.asdict(ra),
                    "comparison": eval_metrics.comparison_report(rb, ra)}
         for name, row in payload["comparison"].items():
             rel = row["relative_change_percent"]
@@ -394,15 +396,14 @@ def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
                   f"({'n/a' if rel is None else f'{rel:+.1f}%'})")
     else:
         report, rows = _eval_checkpoint(cfg, split, checkpoints[0])
-        payload = {"report": report.to_dict(),
+        payload = {"report": dataclasses.asdict(report),
                    "per_scene": [dataclasses.asdict(r) for r in rows]}
         print("\n".join(report.display_lines()))
     _write(out, json.dumps(payload, indent=2) + "\n")
 
 
 def _eval_checkpoints(cfg: RunConfig, args):
-    """The (path, stage that writes it or None) checkpoints eval's flags
-    name."""
+    """The checkpoint paths eval's flags name."""
     if (args.before is None) != (args.after is None):
         raise ConfigError("eval needs --before and --after together")
     if args.checkpoint is not None and args.before is not None:
@@ -410,12 +411,7 @@ def _eval_checkpoints(cfg: RunConfig, args):
                           "not both")
     paths = ((args.before, args.after) if args.before is not None
              else (args.checkpoint or Path(cfg.workdir) / "pretrained.npz",))
-    # each with the stage whose output template its file name fits
-    return tuple((path, next((maker for out, maker in MAKER.items()
-                              if fnmatch.fnmatchcase(path.name,
-                                                     out.format(suffix="*"))),
-                             None))
-                 for path in map(Path, paths))
+    return tuple(map(Path, paths))
 
 
 class Stage(NamedTuple):
@@ -448,19 +444,19 @@ STAGES = {
     "eval": Stage(cmd_eval, ("val.jsonl",), ("report{suffix}.json",),
                   (*MODEL, "top_n", "collision_threshold")),
 }
-MAKER = {out: name for name, stage in STAGES.items() for out in stage.outputs}
 PIPELINE = ("gen", "pretrain", "extract", "finetune")
 
 
 def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
          checkpoints=(), **options) -> int:
     """Run stage `name` in cfg.workdir: require its declared inputs and
-    (path, stage) `checkpoints` (exit 3 naming the stage, if any); keep an
-    existing first output while its manifest matches (exit 2 if it does
-    not) unless --force, else do its work and write its manifest."""
+    `checkpoints` paths (exit 3 naming the stage that writes a missing one,
+    if any); keep an existing first output while its manifest matches (exit
+    2 if it does not) unless --force, else do its work and write its
+    manifest."""
     stage, workdir = STAGES[name], Path(cfg.workdir)
-    inputs = [_require(path, maker) for path, maker in [
-        (workdir / f, MAKER[f]) for f in stage.inputs] + list(checkpoints)]
+    inputs = [_require(path) for path in
+              [workdir / f for f in stage.inputs] + list(checkpoints)]
     outputs = [workdir / f.format(suffix=suffix) for f in stage.outputs]
     manifest = workdir / f"{name}{suffix}_manifest.json"
     if outputs[0].exists() and not force:
@@ -511,10 +507,6 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
     made afresh on every sweep, so the manifest checks see the parent's
     current outputs; `force` reaches only the swept stages and eval. A
     failing stage ends the sweep with its exit code and writes no table."""
-    if param not in SWEEPABLE:
-        raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE}")
-    if not values:
-        raise ConfigError("empty sweep value list")
     workdir = Path(cfg.workdir)
     started = time.time()
     subs = {}   # by directory; every value is checked before any stage runs
@@ -549,8 +541,8 @@ def cmd_ablate(cfg: RunConfig, force: bool, param: str, values: list[float]) -> 
         for name in shared:
             _write(subdir / name, (workdir / name).read_bytes())
         stages = [(name, "", ()) for name in PIPELINE[first:]] + [
-            ("eval", "_final", ((subdir / "pretrained.npz", "pretrain"),
-                                (subdir / "finetuned.npz", "finetune")))]
+            ("eval", "_final", (subdir / "pretrained.npz",
+                                subdir / "finetuned.npz"))]
         for name, suffix, checkpoints in stages:
             code = _run(sub, force, name, suffix, checkpoints)
             if code:
@@ -582,8 +574,7 @@ def _tag(tag: str) -> str:
 
 def cmd_report(cfg: RunConfig, tag: str) -> int:
     path = Path(cfg.workdir) / f"report_{_tag(tag)}.json"
-    _require(path, "eval")
-    print(path.read_text())
+    print(_require(path).read_text())
     return EXIT_OK
 
 

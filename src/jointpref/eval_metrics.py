@@ -9,7 +9,7 @@ means over scenes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class MetricsReport:
     n_scenes: int
     n_modes_evaluated: int
     collision_threshold: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def display_lines(self) -> list[str]:
         # collision rates shown x1e3 alongside raw values

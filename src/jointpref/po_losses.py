@@ -45,13 +45,19 @@ def bt_nll(reward_w: float, reward_l: float, gamma: float = 0.0) -> float:
     return -_log_sigmoid(reward_w - reward_l - gamma)
 
 
-def _check_permutation(ranking: np.ndarray, shape: tuple) -> np.ndarray:
-    """ranking as ints; ValueError unless every row permutes 0..K-1."""
+def _pl_stages(rewards: np.ndarray, ranking: np.ndarray, gamma: float):
+    """(tau, scores, lse) of the Plackett-Luce stages: the ranking as ints,
+    the scores reward[tau(k)] + k*gamma in ranking order and their suffix
+    log-sum-exps, lse[..., i] = logsumexp(scores[..., i:]). ValueError
+    unless every row of ranking permutes 0..K-1."""
     tau = np.asarray(ranking, dtype=np.int64)
-    k = shape[-1]
-    if tau.shape != shape or np.any(np.sort(tau, axis=-1) != np.arange(k)):
+    k = rewards.shape[-1]
+    if (tau.shape != rewards.shape
+            or np.any(np.sort(tau, axis=-1) != np.arange(k))):
         raise ValueError(f"ranking must be a permutation of 0..{k - 1}")
-    return tau
+    scores = np.take_along_axis(rewards, tau, -1) + gamma * np.arange(1, k + 1)
+    lse = np.logaddexp.accumulate(scores[..., ::-1], axis=-1)[..., ::-1]
+    return tau, scores, lse
 
 
 def pl_nll(rewards: np.ndarray, ranking: np.ndarray, gamma: float = 0.0):
@@ -62,11 +68,8 @@ def pl_nll(rewards: np.ndarray, ranking: np.ndarray, gamma: float = 0.0):
     log-sum-exp over j >= k of reward[tau(j)] + j*gamma. Leading axes stack
     scenes, one loss each.
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    tau = _check_permutation(ranking, rewards.shape)
-    scores = (np.take_along_axis(rewards, tau, -1)
-              + gamma * np.arange(1, rewards.shape[-1] + 1))
-    lse = np.logaddexp.accumulate(scores[..., ::-1], axis=-1)[..., ::-1]
+    _, scores, lse = _pl_stages(np.asarray(rewards, dtype=np.float64),
+                                ranking, gamma)
     return np.sum(lse - scores, axis=-1)
 
 
@@ -81,13 +84,10 @@ def pl_nll_grad(scene_logits: np.ndarray, ranking: np.ndarray,
                 config: SimPOConfig) -> np.ndarray:
     """Analytic gradient of pl_nll_from_logits with respect to scene logits."""
     z = np.asarray(scene_logits, dtype=np.float64)
-    tau = _check_permutation(ranking, z.shape)
-    scores = (np.take_along_axis(config.beta * log_softmax(z), tau, -1)
-              + config.gamma * np.arange(1, z.shape[-1] + 1))
+    tau, scores, lse = _pl_stages(config.beta * log_softmax(z), ranking,
+                                  config.gamma)
     # dL/dscores in ranking order: stage i takes 1 off scores[i] and adds
     # exp(scores[j] - lse[i]) <= 1 to j >= i (clipped so j < i cannot overflow)
-    # lse[..., i] = logsumexp(scores[..., i:])
-    lse = np.logaddexp.accumulate(scores[..., ::-1], axis=-1)[..., ::-1]
     w = np.triu(np.exp(np.minimum(scores[..., None, :] - lse[..., :, None],
                                   0.0)))                      # (..., K, K)
     d_rewards = np.zeros_like(z)

@@ -74,12 +74,9 @@ def preference_cost(joint: JointModeSet, ground_truth: np.ndarray,
 class ExtractionSummary:
     total: int
     extracted: int
+    fraction: float   # extracted / total; 0.0 when there are no scenes
     collision_branch_count: int
     spread_branch_count: int
-
-    @property
-    def fraction(self) -> float:
-        return self.extracted / self.total if self.total else 0.0
 
 
 def extract_preference_subset(chunks, lam: float = DEFAULT_LAMBDA,
@@ -110,5 +107,6 @@ def extract_preference_subset(chunks, lam: float = DEFAULT_LAMBDA,
     kept = ids[via_collision | via_spread].tolist()
     return kept, ExtractionSummary(
         total=len(ids), extracted=len(kept),
+        fraction=len(kept) / len(ids) if len(ids) else 0.0,
         collision_branch_count=int(via_collision.sum()),
         spread_branch_count=int(via_spread.sum()))

@@ -45,8 +45,14 @@ class TestConfig:
         assert cfg.beta == 2.0 and cfg.gamma == 5.0
         assert cfg.lam == 1e3 and cfg.delta == 10.0
 
-    def test_unknown_set_key_is_config_error(self, tmp_path):
-        assert main(["--set", "nonsense", "1", "gen"]) == EXIT_CONFIG
+    def test_unknown_set_key_is_config_error(self, tmp_path, capsys):
+        # a RunConfig method or dunder attribute is not a field either
+        for key, value in [("nonsense", "1"), ("validate", "1"),
+                           ("__doc__", '"x"')]:
+            assert run(tmp_path, "gen", sets=[(key, value)]) == EXIT_CONFIG
+            assert f"config error: unknown config key: {key}" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "train.jsonl").exists()
 
     def test_unknown_config_file_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -75,6 +81,7 @@ class TestConfig:
         [("crossing_weight", "-1")],      # 0 leaves a kind out; below is wrong
         [("beta", "0")],
         [("delta", "-1")],                # the extraction config's checks
+        [("lam", "-1")],                  # would reward proximity
         [("collision_threshold", "0")],
         [("n_val", "-3")],
         [("pretrain_momentum", "-0.5")],  # momentum is in [0, 1)
@@ -113,6 +120,24 @@ class TestPipeline:
         assert run(tmp_path, "finetune") == EXIT_MISSING
         assert run(tmp_path, "eval") == EXIT_MISSING
         assert run(tmp_path, "report") == EXIT_MISSING
+
+    @pytest.mark.parametrize("command,named", [
+        ("pretrain", "train.jsonl; run 'gen'"),
+        ("extract", "train.jsonl; run 'gen'"),
+        ("finetune", "train.jsonl; run 'gen'"),
+        ("eval", "val.jsonl; run 'gen'"),
+        ("report", "report_eval.json; run 'eval'")])
+    def test_missing_input_names_its_maker(self, tmp_path, capsys, command,
+                                           named):
+        assert run(tmp_path, command) == EXIT_MISSING
+        assert f"missing artifact: missing {named} first" in \
+            capsys.readouterr().err
+
+    def test_missing_subset_names_extract(self, pretrained, tmp_path, capsys):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "finetune") == EXIT_MISSING
+        assert "missing subset.txt; run 'extract' first" in \
+            capsys.readouterr().err
 
     def test_full_pipeline(self, tmp_path, capsys):
         assert run(tmp_path, "gen") == EXIT_OK
@@ -445,6 +470,13 @@ class TestAblate:
         # argparse enforces the choices and exits with its own code
         with pytest.raises(SystemExit):
             main(["--set", "workdir", str(tmp_path), "ablate", "speed", "1"])
+
+    def test_empty_sweep_rejected(self, tmp_path):
+        # argparse needs at least one value and exits before any stage runs
+        with pytest.raises(SystemExit) as e:
+            main(["--set", "workdir", str(tmp_path), "ablate", "gamma"])
+        assert e.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_gamma_sweep(self, tmp_path):
         assert run(tmp_path, "gen") == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -181,7 +182,7 @@ class TestEvaluateDataset:
         scene = make_scene("s", gt)
         report, _ = evaluate_dataset(
             [chunk([scene], stack(make_joint(np.stack([gt]))))])
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert d["scr"] == 0.0
         assert d["n_scenes"] == 1
         assert isinstance(report.display_lines(), list)
