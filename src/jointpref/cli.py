@@ -3,8 +3,10 @@
 Every stage writes its artifacts plus a manifest (merged config, seed,
 content hashes of inputs and outputs, wall time, the process's peak
 memory), each through a temp file renamed into place, and reuses
-existing artifacts only while that manifest still matches. Exit codes: 0
-success, 2 config error or stale artifact, 3 missing upstream artifact, 4
+existing artifacts only while that manifest still matches. A stage also
+refuses an input whose maker's manifest records other inputs than the
+files their own makers' manifests record. Exit codes: 0 success, 2
+config error or stale artifact, 3 missing upstream artifact, 4
 validation failure, unreadable input file or diverged training (no
 checkpoint, history or manifest is written).
 """
@@ -12,6 +14,7 @@ checkpoint, history or manifest is written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fnmatch
 import hashlib
@@ -31,12 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eval_metrics, scenegen, toy_predictor
-from .collision_geometry import (
-    COLLISION_THRESHOLD_M,
-    DEFAULT_EPSILON,
-    DEFAULT_RADIUS_M,
-    RepellerParams,
-)
+from .collision_geometry import DEFAULT_RADIUS_M, RepellerParams
 from .mode_aggregation import aggregate_to_joint
 from .po_losses import DEFAULT_BETA, DEFAULT_GAMMA, SimPOConfig
 from .preference_ranking import (
@@ -83,7 +81,6 @@ class RunConfig:
     follow_weight: float = 0.35
     parallel_weight: float = 0.45
     num_agents: int = 2
-    noise_std: float = 0.05
     t_obs: int = DEFAULT_T_OBS
     t_fut: int = DEFAULT_T_FUT
     # predictor / decoding
@@ -94,15 +91,12 @@ class RunConfig:
     lam: float = DEFAULT_LAMBDA
     delta: float = DEFAULT_DELTA
     repeller_r: float = DEFAULT_RADIUS_M
-    repeller_eps: float = DEFAULT_EPSILON
-    collision_threshold: float = COLLISION_THRESHOLD_M
     # optimization
     beta: float = DEFAULT_BETA
     gamma: float = DEFAULT_GAMMA
     # optimizer settings sized to this small network; rates tuned for
     # production-scale predictors (around 1e-5) are inert here
     pretrain_lr: float = 0.1
-    pretrain_momentum: float = 0.9
     pretrain_epochs: int = 40
     finetune_lr: float = 2.5e-3
     finetune_epochs: int = 5
@@ -115,7 +109,7 @@ class RunConfig:
             raise ConfigError(f"K ({self.k}) must be >= top_n ({self.top_n})")
         for name in ("n_train", "t_fut", "top_n", "hidden", "pretrain_lr",
                      "finetune_lr", "pretrain_epochs", "finetune_epochs",
-                     "batch_size", "collision_threshold"):
+                     "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.t_obs < 2:
@@ -124,8 +118,6 @@ class RunConfig:
         for name in ("n_val", "delta", "lam", *WEIGHTS):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if not 0 <= self.pretrain_momentum < 1:
-            raise ConfigError("pretrain_momentum must be in [0, 1)")
         try:
             specs = self.mixture()
             self.repeller()
@@ -138,12 +130,11 @@ class RunConfig:
     def mixture(self) -> list[tuple[ScenarioSpec, float]]:
         kinds = [(name.removesuffix("_weight"), getattr(self, name))
                  for name in WEIGHTS]
-        return [(ScenarioSpec(kind=kind, num_agents=self.num_agents,
-                              noise_std=self.noise_std), w)
+        return [(ScenarioSpec(kind=kind, num_agents=self.num_agents), w)
                 for kind, w in kinds if w > 0]
 
     def repeller(self) -> RepellerParams:
-        return RepellerParams(r=self.repeller_r, epsilon=self.repeller_eps)
+        return RepellerParams(r=self.repeller_r)
 
     def simpo(self) -> SimPOConfig:
         return SimPOConfig(beta=self.beta, gamma=self.gamma)
@@ -163,23 +154,29 @@ def _checked(key: str, value, current):
     return type(current)(value)
 
 
-def _parse_json(text: str, source: str):
+def _parse_json(data: str | bytes, source: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(data)
+    except ValueError as e:   # also bytes that are not UTF-8
         raise ConfigError(f"{source} is not valid JSON: {e}") from e
+
+
+def _read_json(path: Path, source: str):
+    """The JSON value a file holds; ConfigError naming source when the file
+    cannot be read or does not hold JSON."""
+    try:
+        return _parse_json(path.read_bytes(), source)
+    except OSError as e:
+        raise ConfigError(f"cannot read {source}: {e.strerror}") from e
 
 
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
     known = {f.name for f in dataclasses.fields(RunConfig)}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        data = _parse_json(path.read_text(), str(path))
+        data = _read_json(Path(args.config), args.config)
         if not isinstance(data, dict):
-            raise ConfigError(f"{path} must hold a JSON object")
+            raise ConfigError(f"{args.config} must hold a JSON object")
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -241,17 +238,36 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
            json.dumps(manifest, indent=2) + "\n")
 
 
+def _maker(path: Path) -> tuple[str, Path] | None:
+    """The stage whose output template fits path's file name, with the
+    manifest that stage writes beside path; None when no template fits."""
+    for name, stage in STAGES.items():
+        for out in stage.outputs:
+            if fnmatch.fnmatchcase(path.name, out.format(suffix="*")):
+                head, _, tail = out.partition("{suffix}")
+                suffix = path.name[len(head):len(path.name) - len(tail)]
+                return name, path.with_name(f"{name}{suffix}_manifest.json")
+    return None
+
+
 def _require(path: Path) -> Path:
     """path if it exists; else MissingArtifact naming the stage whose output
     template its file name fits, when one does."""
     if not path.exists():
-        maker = next((name for name, stage in STAGES.items()
-                      for out in stage.outputs
-                      if fnmatch.fnmatchcase(path.name,
-                                             out.format(suffix="*"))), None)
+        maker = _maker(path)
         raise MissingArtifact(f"missing {path.name}"
-                              + (f"; run '{maker}' first" if maker else ""))
+                              + (f"; run '{maker[0]}' first" if maker else ""))
     return path
+
+
+@contextlib.contextmanager
+def _reading(path: Path):
+    """UnreadableArtifact (exit 4) naming path for any error that reading a
+    scene file, subset, checkpoint or report in the block raises."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+        raise UnreadableArtifact(f"{path}: {e}") from e
 
 
 def _match(source: str, found: dict, cfg: RunConfig, fields) -> None:
@@ -263,27 +279,37 @@ def _match(source: str, found: dict, cfg: RunConfig, fields) -> None:
 
 
 def _read_split(cfg: RunConfig, path: Path,
-                keep: set[str] | None = None) -> toy_predictor.SceneBlock:
-    """A split file, or its scenes with ids in `keep`, as a SceneBlock; exit
-    4 naming the file when it cannot be read or its scenes are not one block
-    of finite arrays."""
-    try:
+                subset: Path | None = None) -> toy_predictor.SceneBlock:
+    """A split file, or the scenes of it a subset file names, as a
+    SceneBlock; exit 4 naming the file when it cannot be read or its scenes
+    are not one block of finite arrays."""
+    with _reading(path):
         scenes, header = read_scenes(path)
         _match(path.name, header, cfg, ("t_obs", "t_fut"))
-        if keep is not None:
-            scenes = [s for s in scenes if s.scene_id in keep]
-            if not scenes:
-                raise MissingArtifact("preference subset is empty")
+        if subset is not None:
+            scenes = _subset_scenes(scenes, subset, path)
         return toy_predictor.scene_block(scenes)
-    except (OSError, ValueError) as e:
-        raise UnreadableArtifact(f"{path}: {e}") from e
+
+
+def _subset_scenes(scenes, subset: Path, split: Path):
+    """The scenes whose ids subset lists, in split order; exit 4 naming
+    subset when it cannot be read, lists no id or lists an id that no scene
+    of the split has."""
+    with _reading(subset):
+        ids = subset.read_text().split()
+        if not ids:
+            raise ValueError("names no scene")
+        known = {scene.scene_id for scene in scenes}
+        unknown = [i for i in ids if i not in known]
+        if unknown:
+            raise ValueError(f"scene {unknown[0]} is not in {split.name}")
+    keep = set(ids)
+    return [scene for scene in scenes if scene.scene_id in keep]
 
 
 def _load_params(cfg: RunConfig, path: Path) -> dict:
-    try:
+    with _reading(path):
         params = toy_predictor.load_checkpoint(path)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
-        raise UnreadableArtifact(f"{path}: {e}") from e
     _match(path.name, params["_meta"], cfg, MODEL)
     return params
 
@@ -306,13 +332,16 @@ def cmd_gen(cfg: RunConfig, train_path, val_path, summary_path):
     print(f"wrote {len(train)} train / {len(val)} val scenes to {cfg.workdir}")
 
 
+PRETRAIN_MOMENTUM = 0.9   # finetune keeps TrainConfig's default of 0
+
+
 def cmd_pretrain(cfg: RunConfig, train_path, out, history_path):
     split = _read_split(cfg, train_path)
     params = toy_predictor.init_params(cfg.t_obs, cfg.t_fut, cfg.k, cfg.seed,
                                        hidden=cfg.hidden)
     tc = TrainConfig(learning_rate=cfg.pretrain_lr, epochs=cfg.pretrain_epochs,
                      batch_size=cfg.batch_size, objective="pretrain",
-                     momentum=cfg.pretrain_momentum, rng_seed=cfg.seed)
+                     momentum=PRETRAIN_MOMENTUM, rng_seed=cfg.seed)
     return _train("pretrain", params, split, tc, out, history_path)
 
 
@@ -352,8 +381,7 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
     params = _load_params(cfg, ckpt)
     kept, summary = extract_preference_subset(
         _predict_joints(params, split, cfg.batch_size), lam=cfg.lam,
-        repeller_params=cfg.repeller(), delta=cfg.delta,
-        threshold=cfg.collision_threshold)
+        repeller_params=cfg.repeller(), delta=cfg.delta)
     _write(out, "".join(sid + "\n" for sid in kept))
     _write(summary_path,
            json.dumps(dataclasses.asdict(summary), indent=2) + "\n")
@@ -363,7 +391,7 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
 
 def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
                  history_path, objective: str = "simpo"):
-    subset = _read_split(cfg, train_path, set(subset_path.read_text().split()))
+    subset = _read_split(cfg, train_path, subset_path)
     params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
@@ -376,8 +404,7 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
 def _eval_checkpoint(cfg: RunConfig, split, ckpt: Path):
     params = _load_params(cfg, ckpt)
     return eval_metrics.evaluate_dataset(
-        _predict_joints(params, split, cfg.batch_size), top_n=cfg.top_n,
-        threshold=cfg.collision_threshold)
+        _predict_joints(params, split, cfg.batch_size), top_n=cfg.top_n)
 
 
 def cmd_eval(cfg: RunConfig, val_path, *checkpoints_and_out):
@@ -426,23 +453,21 @@ MODEL = ("t_obs", "t_fut", "k", "hidden")   # a checkpoint's shape
 STAGES = {
     "gen": Stage(cmd_gen, (), ("train.jsonl", "val.jsonl", "gen_summary.json"),
                  ("seed", "n_train", "n_val", *WEIGHTS, "num_agents",
-                  "noise_std", "t_obs", "t_fut")),
+                  "t_obs", "t_fut")),
     "pretrain": Stage(cmd_pretrain, ("train.jsonl",),
                       ("pretrained.npz", "pretrain_history.json"),
-                      ("seed", *MODEL, "pretrain_lr", "pretrain_momentum",
-                       "pretrain_epochs", "batch_size")),
+                      ("seed", *MODEL, "pretrain_lr", "pretrain_epochs",
+                       "batch_size")),
     "extract": Stage(cmd_extract, ("train.jsonl", "pretrained.npz"),
                      ("subset.txt", "extract_summary.json"),
-                     (*MODEL, "lam", "delta", "repeller_r", "repeller_eps",
-                      "collision_threshold")),
+                     (*MODEL, "lam", "delta", "repeller_r")),
     "finetune": Stage(cmd_finetune,
                       ("train.jsonl", "pretrained.npz", "subset.txt"),
                       ("finetuned{suffix}.npz", "finetune{suffix}_history.json"),
                       ("seed", *MODEL, "finetune_lr", "finetune_epochs",
-                       "batch_size", "beta", "gamma", "lam",
-                       "repeller_r", "repeller_eps")),
+                       "batch_size", "beta", "gamma", "lam", "repeller_r")),
     "eval": Stage(cmd_eval, ("val.jsonl",), ("report{suffix}.json",),
-                  (*MODEL, "top_n", "collision_threshold")),
+                  (*MODEL, "top_n")),
 }
 PIPELINE = ("gen", "pretrain", "extract", "finetune")
 
@@ -451,20 +476,21 @@ def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
          checkpoints=(), **options) -> int:
     """Run stage `name` in cfg.workdir: require its declared inputs and
     `checkpoints` paths (exit 3 naming the stage that writes a missing one,
-    if any); keep an existing first output while its manifest matches (exit
-    2 if it does not) unless --force, else do its work and write its
-    manifest."""
+    if any) and that each input's maker still rests on the files their own
+    makers record (exit 2 naming the input if not); keep an existing first
+    output while its manifest matches (exit 2 if it does not) unless
+    --force, else do its work and write its manifest."""
     stage, workdir = STAGES[name], Path(cfg.workdir)
     inputs = [_require(path) for path in
               [workdir / f for f in stage.inputs] + list(checkpoints)]
+    _check_makers(inputs)
     outputs = [workdir / f.format(suffix=suffix) for f in stage.outputs]
     manifest = workdir / f"{name}{suffix}_manifest.json"
     if outputs[0].exists() and not force:
         try:
             _check_current(manifest, cfg, stage.fields, inputs, outputs)
         except ConfigError as e:
-            raise ConfigError(f"{outputs[0]} is stale: {e}; "
-                              f"rerun {name} with --force to rebuild it") from e
+            raise _stale(outputs[0], name, e) from e
         print(f"{outputs[0]} exists; skipping (use --force to rebuild)")
         return EXIT_OK
     started = time.time()
@@ -474,16 +500,49 @@ def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
     return code or EXIT_OK
 
 
+def _stale(path: Path, stage: str, reason) -> ConfigError:
+    return ConfigError(f"{path} is stale: {reason}; "
+                       f"rerun {stage} with --force to rebuild it")
+
+
+def _read_manifest(manifest: Path) -> dict:
+    """A stage's manifest; ConfigError naming it when it cannot be read or
+    does not record the config and the input and output hashes."""
+    recorded = _read_json(manifest, manifest.name)
+    keys = ("config", "input_hashes", "output_hashes")
+    if not (isinstance(recorded, dict)
+            and all(isinstance(recorded.get(key), dict) for key in keys)):
+        raise ConfigError(f"{manifest.name} does not record {', '.join(keys)}")
+    return recorded
+
+
+def _check_makers(inputs) -> None:
+    """ConfigError naming the first input whose maker's manifest records an
+    input hash other than the output hash that file's own maker's manifest
+    records now. Only manifests are read; an absent one is skipped."""
+    for path in inputs:
+        maker = _maker(path)
+        if maker is None or not maker[1].exists():
+            continue
+        name, manifest = maker
+        for key, digest in sorted(
+                _read_manifest(manifest)["input_hashes"].items()):
+            source = manifest.parent / key
+            upstream = _maker(source)
+            if upstream is None or not upstream[1].exists():
+                continue
+            made = _read_manifest(upstream[1])["output_hashes"]
+            if made.get(source.name) != digest:
+                raise _stale(path, name, f"{source.name} is not the file "
+                                         f"{manifest.name} records")
+
+
 def _check_current(manifest: Path, cfg: RunConfig, fields, inputs, outputs):
     """ConfigError naming the first way the outputs differ from what the
     manifest records: its config fields, input hashes or output hashes."""
     if not manifest.exists():
         raise ConfigError(f"{manifest.name} is missing")
-    recorded = _parse_json(manifest.read_text(), manifest.name)
-    keys = ("config", "input_hashes", "output_hashes")
-    if not (isinstance(recorded, dict)
-            and all(isinstance(recorded.get(key), dict) for key in keys)):
-        raise ConfigError(f"{manifest.name} does not record {', '.join(keys)}")
+    recorded = _read_manifest(manifest)
     _match(manifest.name, recorded["config"], cfg, fields)
     for path in outputs:
         if not path.exists():
@@ -573,8 +632,10 @@ def _tag(tag: str) -> str:
 
 
 def cmd_report(cfg: RunConfig, tag: str) -> int:
-    path = Path(cfg.workdir) / f"report_{_tag(tag)}.json"
-    print(_require(path).read_text())
+    path = _require(Path(cfg.workdir) / f"report_{_tag(tag)}.json")
+    with _reading(path):
+        text = path.read_text()
+    print(text)
     return EXIT_OK
 
 

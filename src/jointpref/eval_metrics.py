@@ -68,11 +68,11 @@ def scene_pscr(scene_probs: np.ndarray, collision_counts: np.ndarray):
     return np.sum(probs * (counts > 0), axis=-1)
 
 
-def scene_metrics(scene_id, joint: JointModeSet, ground_truth: np.ndarray,
-                  threshold: float = COLLISION_THRESHOLD_M) -> SceneMetrics:
+def scene_metrics(scene_id, joint: JointModeSet,
+                  ground_truth: np.ndarray) -> SceneMetrics:
     """Metrics of a scene, or of a stack of scenes with (B,) ids and
     (B, A, T, 2) ground truths."""
-    counts = joint_collision_counts(joint.modes, threshold)
+    counts = joint_collision_counts(joint.modes)
     fdes = avg_fde(joint.modes, np.expand_dims(ground_truth, -4))
     return SceneMetrics(
         scene_id=scene_id,
@@ -83,8 +83,7 @@ def scene_metrics(scene_id, joint: JointModeSet, ground_truth: np.ndarray,
     )
 
 
-def evaluate_dataset(chunks, top_n: int = 6,
-                     threshold: float = COLLISION_THRESHOLD_M
+def evaluate_dataset(chunks, top_n: int = 6
                      ) -> tuple[MetricsReport, list[SceneMetrics]]:
     """Per-scene metrics over a dataset and their unweighted means.
 
@@ -102,8 +101,7 @@ def evaluate_dataset(chunks, top_n: int = 6,
         if ids.shape != joint.scene_logits.shape[:-1]:
             raise ValueError(f"{ids.size} ids for "
                              f"{joint.scene_logits.shape[:-1]} scenes")
-        parts.append(astuple(scene_metrics(ids, joint, ground_truth,
-                                           threshold)))
+        parts.append(astuple(scene_metrics(ids, joint, ground_truth)))
     if not parts:
         raise ValueError("no scenes to evaluate")
     ids, scr, pscr, fde, fde_best = (np.concatenate(p) for p in zip(*parts))
@@ -114,7 +112,7 @@ def evaluate_dataset(chunks, top_n: int = 6,
         avg_fde=float(np.mean(fde_best)),
         n_scenes=len(scr),
         n_modes_evaluated=joint.num_modes,
-        collision_threshold=threshold,
+        collision_threshold=COLLISION_THRESHOLD_M,
     )
     rows = list(map(SceneMetrics, ids.tolist(), scr.tolist(), pscr.tolist(),
                     fde.tolist(), fde_best.tolist()))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision_geometry import (
-    COLLISION_THRESHOLD_M,
     RepellerParams,
     joint_collision_counts,
     mode_repeller_cost,
@@ -81,8 +80,7 @@ class ExtractionSummary:
 
 def extract_preference_subset(chunks, lam: float = DEFAULT_LAMBDA,
                               repeller_params: RepellerParams | None = None,
-                              delta: float = DEFAULT_DELTA,
-                              threshold: float = COLLISION_THRESHOLD_M
+                              delta: float = DEFAULT_DELTA
                               ) -> tuple[list[str], ExtractionSummary]:
     """Ids of the scenes whose modes collide or whose cost spread exceeds
     delta, and how many scenes each rule kept.
@@ -95,7 +93,7 @@ def extract_preference_subset(chunks, lam: float = DEFAULT_LAMBDA,
     parts = []
     for ids, ground_truth, joint in chunks:
         cost = preference_cost(joint, ground_truth, lam, repeller_params).cost
-        counts = joint_collision_counts(joint.modes, threshold)
+        counts = joint_collision_counts(joint.modes)
         ids = np.asarray(ids, dtype=str)
         if ids.shape != counts.shape[:-1]:
             raise ValueError(f"{ids.size} ids for {counts.shape[:-1]} scenes")

@@ -195,6 +195,8 @@ def read_scenes(path) -> tuple[list[Scene], dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SceneFileError(f"line {lineno}: malformed record: {e}") from e
+            if not isinstance(rec, dict):
+                raise SceneFileError(f"line {lineno}: not a JSON object")
             if lineno == 1:
                 if rec.get("schema_version") != SCHEMA_VERSION:
                     raise SceneFileError(

@@ -423,9 +423,13 @@ def load_checkpoint(path) -> dict:
     parameter's shape differs from the manifest or a value is not finite."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["_meta"]).decode())
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint _meta is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unknown checkpoint version {meta.get('version')!r}")
         params = {k: data[k].copy() for k in PARAM_KEYS}
+    if not isinstance(meta.get("shapes"), dict):
+        raise ValueError("checkpoint shapes is not a JSON object")
     for k, shape in meta["shapes"].items():
         if list(params[k].shape) != shape:
             raise ValueError(f"checkpoint shape mismatch for {k}")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import platform
@@ -46,18 +47,38 @@ class TestConfig:
         assert cfg.lam == 1e3 and cfg.delta == 10.0
 
     def test_unknown_set_key_is_config_error(self, tmp_path, capsys):
-        # a RunConfig method or dunder attribute is not a field either
+        # a RunConfig method or dunder attribute is not a field either, nor
+        # is a setting that is now a library constant
         for key, value in [("nonsense", "1"), ("validate", "1"),
-                           ("__doc__", '"x"')]:
+                           ("__doc__", '"x"'), ("noise_std", "0.1"),
+                           ("repeller_eps", "1e-3"),
+                           ("collision_threshold", "0"),
+                           ("pretrain_momentum", "-0.5"),
+                           ("pretrain_momentum", "1")]:
             assert run(tmp_path, "gen", sets=[(key, value)]) == EXIT_CONFIG
             assert f"config error: unknown config key: {key}" in \
                 capsys.readouterr().err
         assert not (tmp_path / "train.jsonl").exists()
 
-    def test_unknown_config_file_key(self, tmp_path):
+    def test_unknown_config_file_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bogus": 1}))
+        for data in ({"bogus": 1}, {"collision_threshold": 1.0}):
+            path.write_text(json.dumps(data))
+            assert main(["--config", str(path), "gen"]) == EXIT_CONFIG
+            assert f"unknown config keys: {list(data)}" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("make,named", [
+        (lambda path: path.mkdir(), "cannot read {path}: Is a directory"),
+        (lambda path: path.write_bytes(b'{"k": "\x80"}'),
+         "{path} is not valid JSON: 'utf-8' codec can't decode"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, make, named):
+        path = tmp_path / "cfg.json"
+        make(path)
         assert main(["--config", str(path), "gen"]) == EXIT_CONFIG
+        assert f"config error: {named.format(path=path)}" in \
+            capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent.json", "gen"]) == EXIT_CONFIG
@@ -82,10 +103,7 @@ class TestConfig:
         [("beta", "0")],
         [("delta", "-1")],                # the extraction config's checks
         [("lam", "-1")],                  # would reward proximity
-        [("collision_threshold", "0")],
         [("n_val", "-3")],
-        [("pretrain_momentum", "-0.5")],  # momentum is in [0, 1)
-        [("pretrain_momentum", "1")],
     ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
     def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
         assert run(tmp_path, "gen", sets=sets) == EXIT_CONFIG
@@ -343,12 +361,44 @@ class TestStale:
         (lambda path: path.write_text(json.dumps(   # an older manifest
             {key: value for key, value in json.loads(path.read_text()).items()
              if key != "output_hashes"})), "does not record"),
-    ], ids=["missing", "not-an-object", "no-output-hashes"])
+        (lambda path: path.write_bytes(b"\x80" + path.read_bytes()),
+         "is not valid JSON"),
+    ], ids=["missing", "not-an-object", "no-output-hashes", "not-utf8"])
     def test_unusable_manifest(self, pretrained, tmp_path, capsys, edit, named):
         workdir = copy_run(pretrained, tmp_path)
         edit(workdir / "pretrain_manifest.json")
         assert run(workdir, "pretrain") == EXIT_CONFIG
         assert f"pretrain_manifest.json {named}" in capsys.readouterr().err
+        if named != "is missing":
+            # a stage reading pretrained.npz checks what its maker records
+            assert run(workdir, "eval", "--tag", "x") == EXIT_CONFIG
+            assert f"pretrain_manifest.json {named}" in \
+                capsys.readouterr().err
+            assert not (workdir / "report_x.json").exists()
+
+    def test_rebuilt_upstream_is_stale(self, pretrained, tmp_path, capsys):
+        # gen is rebuilt at another seed: the checkpoint and the subset made
+        # from the old train.jsonl are stale for each stage that reads them
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        seed1 = [("seed", "1")]
+        assert run(workdir, "gen", sets=seed1, force=True) == EXIT_OK
+        files = sorted(workdir.iterdir())
+        capsys.readouterr()
+        for argv in (("eval", "--tag", "x"), ("finetune",)):
+            assert run(workdir, *argv, sets=seed1) == EXIT_CONFIG
+            assert (f"{workdir / 'pretrained.npz'} is stale: train.jsonl is "
+                    "not the file pretrain_manifest.json records; rerun "
+                    "pretrain with --force to rebuild it"
+                    in capsys.readouterr().err)
+        assert sorted(workdir.iterdir()) == files
+        assert run(workdir, "pretrain", sets=seed1, force=True) == EXIT_OK
+        capsys.readouterr()
+        assert run(workdir, "finetune", sets=seed1) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{workdir / 'subset.txt'} is stale: " in err
+        assert "rerun extract with --force to rebuild it" in err
+        assert not (workdir / "finetuned.npz").exists()
 
     def test_matching_rerun_skips(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
@@ -733,6 +783,38 @@ class TestMisuse:
             assert f"{path}: {where}scene {rec['scene_id']} {named}" in err
             assert not (workdir / output).exists()
 
+    @pytest.mark.parametrize("name,edit,argv,named", [
+        ("val.jsonl", lambda path: path.write_text(
+            "[1, 2]\n" + path.read_text().split("\n", 1)[1]),
+         ("eval", "--tag", "x"), "line 1: not a JSON object"),
+        ("pretrained.npz", lambda path: path.write_bytes(
+            checkpoint_bytes(path, _meta=np.frombuffer(b"[1]", np.uint8))),
+         ("eval", "--tag", "x"), "_meta is not a JSON object"),
+        ("subset.txt", lambda path: path.write_bytes(b"\x80\n"),
+         ("finetune",), "can't decode byte 0x80"),
+        ("subset.txt", lambda path: path.write_text(""),
+         ("finetune",), "names no scene"),
+        ("subset.txt", lambda path: path.write_text(
+            path.read_text().split()[0] + "\nnosuch-1\nnosuch-2\n"),
+         ("finetune",), "scene nosuch-1 is not in train.jsonl"),
+        ("report_x.json", lambda path: path.write_bytes(b"\x80\n"),
+         ("report", "--tag", "x"), "can't decode byte 0x80"),
+    ], ids=["split-header-list", "meta-list", "subset-not-utf8",
+            "subset-empty", "subset-unknown-id", "report-not-utf8"])
+    def test_unreadable_input_names_it(self, pretrained, tmp_path, capsys,
+                                       name, edit, argv, named):
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        path = workdir / name
+        edit(path)
+        files = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run(workdir, *argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"unreadable artifact: {path}: " in err and named in err
+        assert "Traceback" not in err
+        assert sorted(workdir.iterdir()) == files
+
     def test_garbage_checkpoint_names_it(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
         ckpt = workdir / "pretrained.npz"
@@ -768,6 +850,15 @@ class TestNonFiniteCheckpoint:
         err = capsys.readouterr().err
         assert f"{ckpt}: checkpoint parameter Wl is not finite" in err
         assert not (workdir / "report_x.json").exists()
+
+
+def checkpoint_bytes(path, **arrays) -> bytes:
+    """The bytes of the checkpoint at path with some of its arrays replaced."""
+    with np.load(path) as data:
+        arrays = {**data, **arrays}
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
 
 
 def runtime_warnings(caught):
