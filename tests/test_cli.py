@@ -103,7 +103,10 @@ class TestConfig:
         [("beta", "0")],
         [("delta", "-1")],                # the extraction config's checks
         [("lam", "-1")],                  # would reward proximity
+        [("collision_threshold", "0")],   # a constant now: unknown key
         [("n_val", "-3")],
+        [("pretrain_momentum", "-0.5")],  # a constant now: unknown key
+        [("pretrain_momentum", "1")],
     ], ids=lambda sets: "-".join(f"{k}={v}" for k, v in sets)[:40])
     def test_bad_value_is_config_error(self, tmp_path, capsys, sets):
         assert run(tmp_path, "gen", sets=sets) == EXIT_CONFIG
