@@ -5,10 +5,11 @@ content hashes of inputs and outputs, wall time, the process's peak
 memory), each through a temp file renamed into place, and reuses
 existing artifacts only while that manifest still matches. A stage also
 refuses an input whose maker's manifest records other inputs than the
-files their own makers' manifests record. Exit codes: 0 success, 2
-config error or stale artifact, 3 missing upstream artifact, 4
-validation failure, unreadable input file or diverged training (no
-checkpoint, history or manifest is written).
+files their own makers' manifests record. Exit codes: 0 success, 1
+stdout closed before the output was written (as by `| head`), 2 config
+error or stale artifact, 3 missing upstream artifact, 4 validation
+failure, unreadable input file or diverged training (no checkpoint,
+history or manifest is written).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .scenegen import DEFAULT_T_FUT, DEFAULT_T_OBS, ScenarioSpec
 from .toy_predictor import HIDDEN, TrainConfig
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_VALIDATION = 4
@@ -216,6 +218,7 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
                     inputs: list[Path], outputs: list[Path],
                     started: float) -> None:
     cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "step": step,
         "config": json.loads(cfg_json),
@@ -227,9 +230,12 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
         # the whole process's peak so far: stages run in one process share it
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        # the bit-exact training paths rest on numpy's einsum summation order
+        # the bit-pinned trajectory paths rest on numpy's einsum summation
+        # order, the trunk's matmuls and the SimPO step's ranking on BLAS's;
+        # a DYNAMIC_ARCH OpenBLAS (numpy's wheels) picks kernels by CPU
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
             **{var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
@@ -633,6 +639,7 @@ def _tag(tag: str) -> str:
 
 def cmd_report(cfg: RunConfig, tag: str) -> int:
     path = _require(Path(cfg.workdir) / f"report_{_tag(tag)}.json")
+    _check_makers([path])
     with _reading(path):
         text = path.read_text()
     print(text)
@@ -689,7 +696,15 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](load_config(args), args)
+        code = COMMANDS[args.command](load_config(args), args)
+        sys.stdout.flush()   # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the exit's own flush would raise again: what is left goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -152,7 +152,8 @@ def scene_block(scenes: list[Scene]) -> SceneBlock:
         ids=np.array([scene.scene_id for scene in scenes], dtype=str))
 
 
-def forward(params: dict, block: SceneBlock, cache: bool = False):
+def forward(params: dict, block: SceneBlock, cache: bool = False, *,
+            ranking_only: bool = False):
     """Trajectories (B, A, K, T_fut, 2) and logits (B, A, K) of a block,
     plus the activation cache when requested.
 
@@ -161,6 +162,13 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
     still z's terms summed over c in order: numpy's einsum (2.4.6) adds one
     rounded product per c to each output, in this layout as in the
     per-scene "ac,kco->ako" it replaced. The tests pin the bits.
+
+    ranking_only=True makes the offsets one BLAS matmul over all B*A rows
+    instead, in BLAS's summation order: a few ulps from the einsum's and
+    several times faster at K=12. Such trajectories may only decide an
+    order (the SimPO step's ranking), never reach a gradient, a loss or a
+    reported number; the tests check that the order is the einsum's. The
+    logits and the cache are the same bits either way.
     ValueError when the block's horizons are not the model's."""
     f = block.features                                     # (B, A, d_in)
     meta, t_fut = params["_meta"], block.anchors.shape[2]
@@ -179,7 +187,11 @@ def forward(params: dict, block: SceneBlock, cache: bool = False):
 
     k, c, o = params["Wtraj"].shape
     w = np.ascontiguousarray(params["Wtraj"].transpose(1, 0, 2)).reshape(c, -1)
-    offsets = (np.einsum("bac,cp->bap", z, w).reshape(*z.shape[:2], k, o)
+    if ranking_only:
+        flat = z.reshape(-1, c) @ w                        # (B*A, K*O)
+    else:
+        flat = np.einsum("bac,cp->bap", z, w)              # (B, A, K*O)
+    offsets = (flat.reshape(*z.shape[:2], k, o)
                + params["btraj"])                          # (B, A, K, O)
     trajs = block.anchors[:, :, None] + offsets.reshape(
         *offsets.shape[:3], -1, 2)                         # (B, A, K, T, 2)
@@ -324,8 +336,15 @@ def pretrain_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
 
 def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
     """Listwise loss per scene, batch-mean grads (none for Wtraj, btraj)
-    and top/bottom reward gap per scene."""
-    trajs, logits, cache = forward(params, block, cache=True)
+    and top/bottom reward gap per scene.
+
+    The trajectories only rank each scene's joint modes (tau); the losses,
+    gradients and gaps read the logits and tau alone. So they come from
+    forward's matmul path, a few ulps from the einsum's: tau, and with it
+    every output, keeps the einsum path's bits unless two modes' costs lie
+    within that margin. The tests check tau and the bits at K=6 and 12."""
+    trajs, logits, cache = forward(params, block, cache=True,
+                                   ranking_only=True)
     joint, source = aggregate_to_joint(trajs, logits)
     tau = preference_cost(joint, block.futures, lam=config.lam,
                           repeller_params=config.repeller).ranking

@@ -11,7 +11,10 @@ The training step's exact paths rest on the order in which numpy's einsum
 sums each contraction, so every path is pinned here: forward's flattened
 Wtraj contraction, _accumulate's per-mode dz over a mode's live rows (some
 or all of them), both ways it sums a mode's Wtraj gradient, and the
-in-place SGD update.
+in-place SGD update. The SimPO step alone takes its trajectories from
+forward's BLAS matmul path, which may only decide the ranking: its ranking,
+losses, gradients and gaps are checked against a step ranked on the einsum
+trajectories.
 """
 
 import os
@@ -302,6 +305,83 @@ def test_forward_matches_reference_at_k12(b):
         (ref_t, ref_l), _ = forward_ref(params, scene)
         assert np.array_equal(bits(t), bits(ref_t))
         assert np.array_equal(bits(l), bits(ref_l))
+
+
+# ---------------------------------------------------------------------------
+# the SimPO step ranks on forward's matmul trajectories
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[6, 12], ids=lambda k: f"k{k}")
+def ranking_split(request):
+    """A 200-scene split and a model of K modes pretrained on it for 3
+    epochs, so the modes sit near the futures and their costs are close.
+    The tests only read it."""
+    params = make_params(request.param)
+    block = scene_block(make_scenes(200, seed=5))
+    train(params, block, TrainConfig(learning_rate=0.05, epochs=3,
+                                     objective="pretrain", momentum=0.9))
+    return params, block
+
+
+def ranking(joint, block, config=CONFIG):
+    return preference_cost(joint, block.futures, lam=config.lam,
+                           repeller_params=config.repeller).ranking
+
+
+def simpo_einsum_step(params, block, config):
+    """simpo_scene_loss ranked on forward's einsum trajectories."""
+    trajs, logits, cache = forward(params, block, cache=True)
+    joint, source = aggregate_to_joint(trajs, logits)
+    tau = ranking(joint, block, config)
+    d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
+    rewards = config.simpo.beta * log_softmax(joint.scene_logits)
+    ends = np.take_along_axis(rewards, tau[:, [0, -1]], 1)
+    return (pl_nll_from_logits(joint.scene_logits, tau, config.simpo),
+            backward(params, cache, scene_logit_grad_to_agent_logits(
+                d_scene, source), None),
+            ends[:, 0] - ends[:, 1])
+
+
+def test_matmul_trajectories_rank_as_einsum_ones(ranking_split):
+    params, block = ranking_split
+    trajs, logits = forward(params, block)
+    fast, fast_logits = forward(params, block, ranking_only=True)
+    assert fast_logits.tobytes() == logits.tobytes()
+    assert np.array_equal(ranking(aggregate_to_joint(fast, logits)[0], block),
+                          ranking(aggregate_to_joint(trajs, logits)[0], block))
+
+
+def test_simpo_step_matches_step_ranked_on_einsum(ranking_split):
+    params, block = ranking_split
+    for start in range(0, len(block.ids), 16):
+        batch = SceneBlock(*(arrays[start:start + 16] for arrays in block))
+        losses, grads, gaps = simpo_scene_loss(params, batch, CONFIG)
+        ref_losses, ref_grads, ref_gaps = simpo_einsum_step(params, batch,
+                                                            CONFIG)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert gaps.tobytes() == ref_gaps.tobytes()
+        assert sorted(grads) == sorted(ref_grads)
+        for key, grad in ref_grads.items():
+            assert grads[key].tobytes() == grad.tobytes(), key
+
+
+def test_matmul_trajectories_within_ulps_of_einsum(ranking_split):
+    """Each offset is a 2H-term dot product summed in two orders, then
+    btraj and the anchor are added with one rounding each. The paths
+    differ by at most 4 eps times the offset terms' magnitude sum plus the
+    trajectory's magnitude (the largest ratio to eps was 1.4 at K=6 and 1.7
+    at K=12 when written); a 2H-term sum's worst case is 2H times wider."""
+    params, block = ranking_split
+    trajs, _, cache = forward(params, block, cache=True)
+    fast, _ = forward(params, block, ranking_only=True)
+    z = cache[-1]
+    c = z.shape[-1]
+    w = np.abs(params["Wtraj"]).transpose(1, 0, 2).reshape(c, -1)
+    terms = (np.abs(z) @ w).reshape(fast.shape)        # sum of |z_c w_c|
+    eps = np.finfo(float).eps
+    bound = 4 * eps * (terms + np.abs(trajs))
+    assert np.all(np.abs(fast - trajs) <= bound)
+    assert not np.array_equal(fast, trajs)   # the two paths do differ
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ import json
 import os
 import platform
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +223,8 @@ class TestPipeline:
         env = manifest["environment"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             assert env[var] == os.environ.get(var)
@@ -402,6 +407,23 @@ class TestStale:
         assert f"{workdir / 'subset.txt'} is stale: " in err
         assert "rerun extract with --force to rebuild it" in err
         assert not (workdir / "finetuned.npz").exists()
+
+    def test_report_of_rebuilt_upstream_is_stale(self, pretrained, tmp_path,
+                                                  capsys):
+        # report prints a stored report only while the files eval read are
+        # still the ones their makers' manifests record
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "eval", "--tag", "x") == EXIT_OK
+        assert run(workdir, "report", "--tag", "x") == EXIT_OK
+        seed1 = [("seed", "1")]
+        assert run(workdir, "gen", sets=seed1, force=True) == EXIT_OK
+        assert run(workdir, "pretrain", sets=seed1, force=True) == EXIT_OK
+        capsys.readouterr()
+        assert run(workdir, "report", "--tag", "x") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{workdir / 'report_x.json'} is stale: " in err
+        assert "rerun eval with --force to rebuild it" in err
 
     def test_matching_rerun_skips(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
@@ -939,3 +961,24 @@ def test_extract_and_eval_bytes_independent_of_chunk_size(pretrained, tmp_path):
             "report_pair.json")})
     assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0]["extract_summary.json"])["total"] == 40
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the pipe's reading end is closed before the process starts, so its
+    # first write to stdout fails
+    (tmp_path / "report_x.json").write_text(json.dumps({"n": 1}) + "\n")
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "jointpref.cli", "--set", "workdir",
+             str(tmp_path), "report", "--tag", "x"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 1
+    assert done.stderr == ""
