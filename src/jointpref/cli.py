@@ -35,9 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eval_metrics, scenegen, toy_predictor
-from .collision_geometry import DEFAULT_RADIUS_M, RepellerParams
 from .mode_aggregation import aggregate_to_joint
-from .po_losses import DEFAULT_BETA, DEFAULT_GAMMA, SimPOConfig
+from .po_losses import DEFAULT_GAMMA, SimPOConfig
 from .preference_ranking import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA,
@@ -92,9 +91,7 @@ class RunConfig:
     # preference metric / extraction
     lam: float = DEFAULT_LAMBDA
     delta: float = DEFAULT_DELTA
-    repeller_r: float = DEFAULT_RADIUS_M
     # optimization
-    beta: float = DEFAULT_BETA
     gamma: float = DEFAULT_GAMMA
     # optimizer settings sized to this small network; rates tuned for
     # production-scale predictors (around 1e-5) are inert here
@@ -106,7 +103,7 @@ class RunConfig:
 
     def validate(self):
         """ConfigError naming the first field out of its range; the
-        mixture, repeller and SimPO dataclasses check their own fields."""
+        mixture and SimPO dataclasses check their own fields."""
         if self.k < self.top_n:
             raise ConfigError(f"K ({self.k}) must be >= top_n ({self.top_n})")
         for name in ("n_train", "t_fut", "top_n", "hidden", "pretrain_lr",
@@ -122,7 +119,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 0")
         try:
             specs = self.mixture()
-            self.repeller()
             self.simpo()
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -135,11 +131,8 @@ class RunConfig:
         return [(ScenarioSpec(kind=kind, num_agents=self.num_agents), w)
                 for kind, w in kinds if w > 0]
 
-    def repeller(self) -> RepellerParams:
-        return RepellerParams(r=self.repeller_r)
-
     def simpo(self) -> SimPOConfig:
-        return SimPOConfig(beta=self.beta, gamma=self.gamma)
+        return SimPOConfig(gamma=self.gamma)
 
 
 def _checked(key: str, value, current):
@@ -244,15 +237,17 @@ def _write_manifest(workdir: Path, step: str, cfg: RunConfig,
            json.dumps(manifest, indent=2) + "\n")
 
 
-def _maker(path: Path) -> tuple[str, Path] | None:
-    """The stage whose output template fits path's file name, with the
-    manifest that stage writes beside path; None when no template fits."""
+def _maker(path: Path) -> tuple[str, str, Path] | None:
+    """The stage whose output template fits path's file name, the suffix
+    that fills the template and the manifest that stage writes beside path;
+    None when no template fits."""
     for name, stage in STAGES.items():
         for out in stage.outputs:
             if fnmatch.fnmatchcase(path.name, out.format(suffix="*")):
                 head, _, tail = out.partition("{suffix}")
                 suffix = path.name[len(head):len(path.name) - len(tail)]
-                return name, path.with_name(f"{name}{suffix}_manifest.json")
+                return (name, suffix,
+                        path.with_name(f"{name}{suffix}_manifest.json"))
     return None
 
 
@@ -387,7 +382,7 @@ def cmd_extract(cfg: RunConfig, train_path, ckpt, out, summary_path):
     params = _load_params(cfg, ckpt)
     kept, summary = extract_preference_subset(
         _predict_joints(params, split, cfg.batch_size), lam=cfg.lam,
-        repeller_params=cfg.repeller(), delta=cfg.delta)
+        delta=cfg.delta)
     _write(out, "".join(sid + "\n" for sid in kept))
     _write(summary_path,
            json.dumps(dataclasses.asdict(summary), indent=2) + "\n")
@@ -401,8 +396,7 @@ def cmd_finetune(cfg: RunConfig, train_path, ckpt, subset_path, out,
     params = _load_params(cfg, ckpt)
     tc = TrainConfig(learning_rate=cfg.finetune_lr, epochs=cfg.finetune_epochs,
                      batch_size=cfg.batch_size, objective=objective,
-                     simpo=cfg.simpo(), lam=cfg.lam, repeller=cfg.repeller(),
-                     rng_seed=cfg.seed)
+                     simpo=cfg.simpo(), lam=cfg.lam, rng_seed=cfg.seed)
     return _train(f"finetune[{objective}]", params, subset, tc, out,
                   history_path)
 
@@ -455,7 +449,9 @@ class Stage(NamedTuple):
 
 
 MODEL = ("t_obs", "t_fut", "k", "hidden")   # a checkpoint's shape
-# in pipeline order; {suffix} is finetune's objective or eval's tag
+# the {suffix} of finetune's outputs; eval's is "_" and its tag
+OBJECTIVE_SUFFIX = {"simpo": "", "direct-cost": "_direct"}
+# in pipeline order
 STAGES = {
     "gen": Stage(cmd_gen, (), ("train.jsonl", "val.jsonl", "gen_summary.json"),
                  ("seed", "n_train", "n_val", *WEIGHTS, "num_agents",
@@ -466,12 +462,12 @@ STAGES = {
                        "batch_size")),
     "extract": Stage(cmd_extract, ("train.jsonl", "pretrained.npz"),
                      ("subset.txt", "extract_summary.json"),
-                     (*MODEL, "lam", "delta", "repeller_r")),
+                     (*MODEL, "lam", "delta")),
     "finetune": Stage(cmd_finetune,
                       ("train.jsonl", "pretrained.npz", "subset.txt"),
                       ("finetuned{suffix}.npz", "finetune{suffix}_history.json"),
                       ("seed", *MODEL, "finetune_lr", "finetune_epochs",
-                       "batch_size", "beta", "gamma", "lam", "repeller_r")),
+                       "batch_size", "gamma", "lam")),
     "eval": Stage(cmd_eval, ("val.jsonl",), ("report{suffix}.json",),
                   (*MODEL, "top_n")),
 }
@@ -496,7 +492,7 @@ def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
         try:
             _check_current(manifest, cfg, stage.fields, inputs, outputs)
         except ConfigError as e:
-            raise _stale(outputs[0], name, e) from e
+            raise _stale(outputs[0], e, checkpoints) from e
         print(f"{outputs[0]} exists; skipping (use --force to rebuild)")
         return EXIT_OK
     started = time.time()
@@ -506,9 +502,27 @@ def _run(cfg: RunConfig, force: bool, name: str, suffix: str = "",
     return code or EXIT_OK
 
 
-def _stale(path: Path, stage: str, reason) -> ConfigError:
-    return ConfigError(f"{path} is stale: {reason}; "
-                       f"rerun {stage} with --force to rebuild it")
+def _stale(path: Path, reason, checkpoints) -> ConfigError:
+    return ConfigError(f"{path} is stale: {reason}; rerun "
+                       f"{_command(path, checkpoints)} with --force to "
+                       "rebuild it")
+
+
+def _command(path: Path, checkpoints) -> str:
+    """The command that rebuilds path: the stage whose output template its
+    file name fits, with the flags that give the suffix, and for eval the
+    checkpoints to read. A suffix that no objective gives names the stage
+    alone."""
+    stage, suffix, _ = _maker(path)
+    words = [stage]
+    if stage == "finetune" and suffix:
+        words += [f"--objective {objective}" for objective, known
+                  in OBJECTIVE_SUFFIX.items() if known == suffix]
+    if stage == "eval" and suffix:
+        words.append(f"--tag {suffix[1:]}")
+        flags = ("checkpoint",) if len(checkpoints) == 1 else ("before", "after")
+        words += [f"--{flag} {ckpt}" for flag, ckpt in zip(flags, checkpoints)]
+    return " ".join(words)
 
 
 def _read_manifest(manifest: Path) -> dict:
@@ -528,19 +542,21 @@ def _check_makers(inputs) -> None:
     records now. Only manifests are read; an absent one is skipped."""
     for path in inputs:
         maker = _maker(path)
-        if maker is None or not maker[1].exists():
+        if maker is None or not maker[2].exists():
             continue
-        name, manifest = maker
-        for key, digest in sorted(
-                _read_manifest(manifest)["input_hashes"].items()):
+        name, _, manifest = maker
+        recorded = _read_manifest(manifest)["input_hashes"]
+        for key, digest in sorted(recorded.items()):
             source = manifest.parent / key
             upstream = _maker(source)
-            if upstream is None or not upstream[1].exists():
+            if upstream is None or not upstream[2].exists():
                 continue
-            made = _read_manifest(upstream[1])["output_hashes"]
+            made = _read_manifest(upstream[2])["output_hashes"]
             if made.get(source.name) != digest:
-                raise _stale(path, name, f"{source.name} is not the file "
-                                         f"{manifest.name} records")
+                raise _stale(path, f"{source.name} is not the file "
+                                   f"{manifest.name} records",
+                             [manifest.parent / key for key in recorded
+                              if key not in STAGES[name].inputs])
 
 
 def _check_current(manifest: Path, cfg: RunConfig, fields, inputs, outputs):
@@ -662,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pretrain", help="winner-takes-all pretraining")
     sub.add_parser("extract", help="extract the preference subset")
     ft = sub.add_parser("finetune", help="preference fine-tuning")
-    ft.add_argument("--objective", choices=("simpo", "direct-cost"),
+    ft.add_argument("--objective", choices=tuple(OBJECTIVE_SUFFIX),
                     default="simpo")
     ev = sub.add_parser("eval", help="evaluate a checkpoint on the val split")
     ev.add_argument("--checkpoint")
@@ -682,8 +698,8 @@ COMMANDS = {
     "pretrain": lambda cfg, args: _run(cfg, args.force, "pretrain"),
     "extract": lambda cfg, args: _run(cfg, args.force, "extract"),
     "finetune": lambda cfg, args: _run(
-        cfg, args.force, "finetune", "" if args.objective == "simpo"
-        else "_direct", objective=args.objective),
+        cfg, args.force, "finetune", OBJECTIVE_SUFFIX[args.objective],
+        objective=args.objective),
     "eval": lambda cfg, args: _run(cfg, args.force, "eval",
                                    f"_{_tag(args.tag)}",
                                    _eval_checkpoints(cfg, args)),

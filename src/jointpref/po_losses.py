@@ -1,10 +1,10 @@
 """Preference-distribution losses and their gradients.
 
-Implements the pairwise (Bradley-Terry style) negative log-likelihood with a
-target reward margin, its listwise (Plackett-Luce style) generalization with
-a rank-scaled margin on log-probability rewards, and the direct preference
-cost objective used as a degenerate baseline. Everything is computed in the
-log domain with log-sum-exp stabilization.
+Implements the listwise (Plackett-Luce style) negative log-likelihood with
+a rank-scaled target margin on log-probability rewards, which at two modes
+is the pairwise Bradley-Terry margin loss, and the direct preference cost
+objective used as a degenerate baseline. Everything is computed in the log
+domain with log-sum-exp stabilization.
 """
 
 from __future__ import annotations
@@ -31,18 +31,6 @@ class SimPOConfig:
             raise ValueError("beta must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-
-
-def _log_sigmoid(x: float) -> float:
-    # stable -softplus(-x)
-    if x >= 0:
-        return -np.log1p(np.exp(-x))
-    return x - np.log1p(np.exp(x))
-
-
-def bt_nll(reward_w: float, reward_l: float, gamma: float = 0.0) -> float:
-    """Pairwise margin loss: -log sigmoid(reward_w - reward_l - gamma)."""
-    return -_log_sigmoid(reward_w - reward_l - gamma)
 
 
 def _pl_stages(rewards: np.ndarray, ranking: np.ndarray, gamma: float):

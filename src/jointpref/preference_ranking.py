@@ -21,8 +21,10 @@ from .scene_model import JointModeSet
 
 DEFAULT_LAMBDA = 1e3
 # cost-spread threshold, co-tuned with the default scene mixture so the
-# subset stays a minority of the training set; harder crossing-heavy
-# mixtures pair naturally with smaller deltas (2.5 or 1.0)
+# subset stays a minority of the training set. A smaller delta barely
+# selects on crossing-heavy data: on the acceptance mixture at seed 7,
+# delta 2.5 keeps 1,992 of 2,000 train scenes at K=6 and all 2,000 at
+# K=12, each by the spread rule (1,405 and 1,550 by the collision rule)
 DEFAULT_DELTA = 10.0
 
 

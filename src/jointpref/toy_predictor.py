@@ -29,7 +29,6 @@ from .mode_aggregation import (
     softmax,
 )
 from .po_losses import SimPOConfig, direct_cost_loss, pl_nll_grad, pl_nll_from_logits
-from .collision_geometry import RepellerParams
 from .preference_ranking import DEFAULT_LAMBDA, preference_cost
 from .scene_model import NonFiniteError, Scene, atomic_open
 from .scenegen import DT
@@ -53,7 +52,6 @@ class TrainConfig:
     objective: str = "simpo"   # pretrain | simpo | direct-cost
     simpo: SimPOConfig = field(default_factory=SimPOConfig)
     lam: float = DEFAULT_LAMBDA
-    repeller: RepellerParams = field(default_factory=RepellerParams)
     momentum: float = 0.0
     rng_seed: int = 0
 
@@ -346,8 +344,7 @@ def simpo_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
     trajs, logits, cache = forward(params, block, cache=True,
                                    ranking_only=True)
     joint, source = aggregate_to_joint(trajs, logits)
-    tau = preference_cost(joint, block.futures, lam=config.lam,
-                          repeller_params=config.repeller).ranking
+    tau = preference_cost(joint, block.futures, lam=config.lam).ranking
     losses = pl_nll_from_logits(joint.scene_logits, tau, config.simpo)
     d_scene = pl_nll_grad(joint.scene_logits, tau, config.simpo)
     d_logits = scene_logit_grad_to_agent_logits(d_scene, source)
@@ -361,8 +358,7 @@ def direct_scene_loss(params: dict, block: SceneBlock, config: TrainConfig):
     no gaps."""
     trajs, logits, cache = forward(params, block, cache=True)
     joint, source = aggregate_to_joint(trajs, logits)
-    losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam,
-                                       repeller_params=config.repeller)
+    losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam)
     # mode k, agent i came from agent i's marginal mode source[b, i, k]
     b, a = source.shape[:2]
     d_trajs = np.zeros_like(trajs)

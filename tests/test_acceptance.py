@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bradley_terry import bt_nll
 from jointpref.cli import EXIT_OK, main
 from jointpref.collision_geometry import (
     RepellerParams,
@@ -26,7 +27,6 @@ from jointpref.collision_geometry import (
 from jointpref.mode_aggregation import aggregate_to_joint, select_top_modes, softmax
 from jointpref.po_losses import (
     SimPOConfig,
-    bt_nll,
     direct_cost_loss,
     pl_nll,
     pl_nll_from_logits,

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import jointpref
+from jointpref.collision_geometry import RepellerParams
 from jointpref.mode_aggregation import (
     aggregate_to_joint,
     log_softmax,
@@ -221,9 +222,9 @@ DIRECT = TrainConfig(learning_rate=1e-5, objective="direct-cost", lam=10.0)
 OBJECTIVES = {
     "pretrain": (pretrain_ref, pretrain_scene_loss,
                  TrainConfig(learning_rate=1e-5, objective="pretrain")),
-    "simpo": (lambda p, s: simpo_ref(p, s, CONFIG, CONFIG.repeller),
+    "simpo": (lambda p, s: simpo_ref(p, s, CONFIG, RepellerParams()),
               simpo_scene_loss, CONFIG),
-    "direct": (lambda p, s: direct_ref(p, s, DIRECT.lam, DIRECT.repeller),
+    "direct": (lambda p, s: direct_ref(p, s, DIRECT.lam, RepellerParams()),
                direct_scene_loss, DIRECT),
 }
 
@@ -325,7 +326,7 @@ def ranking_split(request):
 
 def ranking(joint, block, config=CONFIG):
     return preference_cost(joint, block.futures, lam=config.lam,
-                           repeller_params=config.repeller).ranking
+                           repeller_params=RepellerParams()).ranking
 
 
 def simpo_einsum_step(params, block, config):
@@ -527,7 +528,7 @@ def direct_block_ref(params, block, config):
     trajs, logits, cache = forward(params, block, cache=True)
     joint, source = aggregate_to_joint(trajs, logits)
     losses, d_modes = direct_cost_loss(joint, block.futures, lam=config.lam,
-                                       repeller_params=config.repeller)
+                                       repeller_params=RepellerParams())
     d_trajs = np.zeros_like(trajs)
     for b, i, k in np.ndindex(source.shape):
         d_trajs[b, i, source[b, i, k]] = d_modes[b, k, i]

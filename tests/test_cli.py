@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from jointpref import cli, scene_model, scenegen, toy_predictor
+from jointpref.po_losses import SimPOConfig
 from jointpref.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -46,7 +47,7 @@ class TestConfig:
         cfg = RunConfig()
         cfg.validate()
         assert cfg.k >= cfg.top_n
-        assert cfg.beta == 2.0 and cfg.gamma == 5.0
+        assert SimPOConfig().beta == 2.0 and cfg.gamma == 5.0
         assert cfg.lam == 1e3 and cfg.delta == 10.0
 
     def test_unknown_set_key_is_config_error(self, tmp_path, capsys):
@@ -57,7 +58,8 @@ class TestConfig:
                            ("repeller_eps", "1e-3"),
                            ("collision_threshold", "0"),
                            ("pretrain_momentum", "-0.5"),
-                           ("pretrain_momentum", "1")]:
+                           ("pretrain_momentum", "1"), ("beta", "2"),
+                           ("repeller_r", "1")]:
             assert run(tmp_path, "gen", sets=[(key, value)]) == EXIT_CONFIG
             assert f"config error: unknown config key: {key}" in \
                 capsys.readouterr().err
@@ -65,7 +67,8 @@ class TestConfig:
 
     def test_unknown_config_file_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        for data in ({"bogus": 1}, {"collision_threshold": 1.0}):
+        for data in ({"bogus": 1}, {"collision_threshold": 1.0},
+                     {"beta": 2.0}, {"repeller_r": 1.0}):
             path.write_text(json.dumps(data))
             assert main(["--config", str(path), "gen"]) == EXIT_CONFIG
             assert f"unknown config keys: {list(data)}" in \
@@ -103,7 +106,7 @@ class TestConfig:
          ("follow_weight", "0"), ("parallel_weight", "0")],
         [("num_agents", "7")],            # the parameter dataclasses' checks
         [("crossing_weight", "-1")],      # 0 leaves a kind out; below is wrong
-        [("beta", "0")],
+        [("beta", "0")],                  # a constant now: unknown key
         [("delta", "-1")],                # the extraction config's checks
         [("lam", "-1")],                  # would reward proximity
         [("collision_threshold", "0")],   # a constant now: unknown key
@@ -423,7 +426,31 @@ class TestStale:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{workdir / 'report_x.json'} is stale: " in err
-        assert "rerun eval with --force to rebuild it" in err
+        assert (f"rerun eval --tag x --checkpoint {workdir / 'pretrained.npz'}"
+                " with --force to rebuild it" in err)
+        # the command the hint names rebuilds report_x.json
+        assert run(workdir, *hinted(err), force=True) == EXIT_OK
+        assert run(workdir, "report", "--tag", "x") == EXIT_OK
+
+    def test_direct_checkpoint_of_rebuilt_upstream_is_stale(self, pretrained,
+                                                            tmp_path, capsys):
+        # the hint names the objective whose outputs carry the _direct suffix
+        workdir = copy_run(pretrained, tmp_path)
+        assert run(workdir, "extract") == EXIT_OK
+        assert run(workdir, "finetune", "--objective", "direct-cost") == EXIT_OK
+        assert run(workdir, "pretrain", sets=[("pretrain_epochs", "1")],
+                   force=True) == EXIT_OK
+        capsys.readouterr()
+        ckpt = workdir / "finetuned_direct.npz"
+        argv = ("eval", "--checkpoint", str(ckpt), "--tag", "d")
+        assert run(workdir, *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"{ckpt} is stale: pretrained.npz is not the file "
+                "finetune_direct_manifest.json records; rerun finetune "
+                "--objective direct-cost with --force to rebuild it" in err)
+        assert run(workdir, "extract", force=True) == EXIT_OK
+        assert run(workdir, *hinted(err), force=True) == EXIT_OK
+        assert run(workdir, *argv) == EXIT_OK
 
     def test_matching_rerun_skips(self, pretrained, tmp_path, capsys):
         workdir = copy_run(pretrained, tmp_path)
@@ -500,6 +527,13 @@ def test_stage_reads_only_its_declared_fields(pretrained, tmp_path,
     chunked = {"batch_size"} if argv[0] in ("extract", "eval") else set()
     reads = recorder[0].reads - {"workdir"} - chunked
     assert reads == set(STAGES[argv[0]].fields)
+
+
+def test_every_field_is_declared_by_a_stage():
+    """A field that no stage declares is dead config, or a dependency that
+    the runner does not see: a rerun at another value would skip."""
+    declared = {name for stage in STAGES.values() for name in stage.fields}
+    assert sorted(FIELDS - declared) == ["workdir"]
 
 
 class TestDefaultExtraction:
@@ -647,6 +681,11 @@ def copy_run(src, tmp_path):
     dst = tmp_path / "run"
     shutil.copytree(src, dst)
     return dst
+
+
+def hinted(err):
+    """The command a stale message says to rerun with --force, as argv."""
+    return err.partition("; rerun ")[2].partition(" with --force")[0].split()
 
 
 class TestMisuse:

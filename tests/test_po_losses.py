@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bradley_terry import bt_nll
 from jointpref.collision_geometry import RepellerParams
 from jointpref.mode_aggregation import log_softmax, softmax
 from jointpref.po_losses import (
     SimPOConfig,
-    bt_nll,
     direct_cost_loss,
     pl_nll,
     pl_nll_from_logits,

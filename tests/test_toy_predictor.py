@@ -174,8 +174,7 @@ class TestTranslationInvariance:
 
 def check_block_gradients(params, blk):
     cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                      simpo=SimPOConfig(beta=2.0, gamma=5.0),
-                      repeller=RepellerParams())
+                      simpo=SimPOConfig(beta=2.0, gamma=5.0))
     direct = TrainConfig(learning_rate=1e-5, objective="direct-cost", lam=10.0)
     for loss_fn in (lambda p: pretrain_scene_loss(p, blk, cfg),
                     lambda p: simpo_scene_loss(p, blk, cfg),
@@ -193,8 +192,7 @@ class TestGradients:
 
     def test_simpo_gradients(self, params, scenes):
         cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                          simpo=SimPOConfig(beta=2.0, gamma=5.0),
-                          repeller=RepellerParams())
+                          simpo=SimPOConfig(beta=2.0, gamma=5.0))
 
         def loss_fn(p):
             return batch_mean(simpo_scene_loss(p, block(scenes[0]), cfg))
@@ -203,7 +201,7 @@ class TestGradients:
 
     def test_direct_gradients(self, params, scenes):
         cfg = TrainConfig(learning_rate=1e-5, objective="direct-cost",
-                          lam=10.0, repeller=RepellerParams())
+                          lam=10.0)
         fd_check(params, scenes,
                  lambda p: batch_mean(direct_scene_loss(p, block(scenes[0]),
                                                         cfg)),
@@ -291,12 +289,11 @@ class TestTraining:
 
         scene = generate_scene(ScenarioSpec(kind="crossing"), seed=3)
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                          repeller=RepellerParams())
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
 
         joint_before, _ = aggregate_to_joint(*predict(params, scene))
         rec = preference_cost(joint_before, scene.ground_truth_futures,
-                              repeller_params=cfg.repeller)
+                              repeller_params=RepellerParams())
         worst = int(rec.ranking[-1])
         prob_before = joint_before.scene_probs[worst]
 
@@ -327,8 +324,7 @@ class TestLogitHeadIsolation:
         # parameters; updating just the logit head must change probabilities
         # while keeping every trajectory bit-identical
         params = init_params(T_OBS, T_FUT, K, seed=0, hidden=16)
-        cfg = TrainConfig(learning_rate=1e-5, objective="simpo",
-                          repeller=RepellerParams())
+        cfg = TrainConfig(learning_rate=1e-5, objective="simpo")
         before = [predict(params, s) for s in scenes]
         for _ in range(20):
             for scene in scenes:
